@@ -89,10 +89,11 @@ def q_values(instance: DmdpInstance, next_values: np.ndarray, t: int) -> np.ndar
     return instance.reward[t] + instance.gamma * (instance.transition @ next_values)
 
 
-def _rule_kernel(instance: DmdpInstance, rule: DecisionRule) -> np.ndarray:
-    """Row-stochastic matrix of the kernel under a fixed decision rule."""
+def _rule_kernel(instance: DmdpInstance, actions) -> np.ndarray:
+    """Row-stochastic kernel matrix under a rule's action vector, or one
+    matrix per rule for a stack of action vectors of shape (..., S)."""
     idx = np.arange(instance.num_states)
-    return instance.transition[idx, np.array(rule.actions), :]
+    return instance.transition[idx, np.asarray(actions), :]
 
 
 def _rule_rewards(instance: DmdpInstance, rule: DecisionRule, t: int) -> np.ndarray:
@@ -122,7 +123,7 @@ def evaluate_policy(
     for i in reversed(range(n)):
         rule = policy.rule_at(i)
         r_pi = _rule_rewards(instance, rule, start_time + i)
-        p_pi = _rule_kernel(instance, rule)
+        p_pi = _rule_kernel(instance, rule.actions)
         values[i] = r_pi + instance.gamma * (p_pi @ values[i + 1])
     return ValueTable(values)
 

@@ -19,6 +19,7 @@ from .composition import GoalSet
 from .core import (
     DmdpError,
     EMPTY_POLICY,
+    InstanceValidationError,
     TimeVaryingPolicy,
     make_static_gap_instance,
     validate,
@@ -68,19 +69,36 @@ def _emit(command: str, instance_digest: str, config: dict, result: dict, starte
     print(dumps_json(report))
 
 
+def _parse_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive node budget, got {text!r}")
+    return budget
+
+
 def _node_budget(args) -> int:
     if args.node_budget is not None:
         return args.node_budget
     env = os.environ.get("GDS_NODE_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_NODE_BUDGET
+    if env is None:
+        return DEFAULT_NODE_BUDGET
+    try:
+        return _parse_budget(env)
+    except argparse.ArgumentTypeError as e:
+        args.usage_error(f"GDS_NODE_BUDGET: {e}")
 
 
 def _cmd_validate(args) -> int:
     started = time.perf_counter()
     instance = load(args.file, check=False)
     report = validate(instance, sign_mode=args.sign_mode)
+    if any(rule == "non_finite" for rule, _, _ in report.violations):
+        # JSON has no canonical spelling of NaN or infinity, so neither the
+        # digest nor the report can be written.
+        raise InstanceValidationError(report, "instance holds non-finite numbers")
     result = {
         "ok": report.ok,
         "sign_mode_checked": args.sign_mode or instance.sign_mode,
@@ -123,8 +141,8 @@ def _cmd_policy_iter(args) -> int:
 
 def _cmd_solve(args, mode: str) -> int:
     started = time.perf_counter()
-    instance = load(args.file)
     budget = _node_budget(args)
+    instance = load(args.file)
     config_obj = GdsConfig(
         start=args.start,
         target=GoalSet.from_states(args.target, instance.num_states),
@@ -261,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-derive queued values by exact evaluation")
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="write the search event log to PATH")
-        p.add_argument("--node-budget", type=int, default=None)
-        p.set_defaults(func=lambda a, m=mode: _cmd_solve(a, m))
+        p.add_argument("--node-budget", type=_parse_budget, default=None)
+        p.set_defaults(func=lambda a, m=mode: _cmd_solve(a, m), usage_error=p.error)
 
     p = sub.add_parser("brute-check", help="exhaustive baseline for solve results")
     p.add_argument("file")

@@ -67,10 +67,11 @@ class GoalSet:
 
     def issubset(self, other: "GoalSet") -> bool:
         self._check_same_space(other)
-        return self.mask & ~other.mask == 0
+        return includes(self.mask, other.mask)
 
     def is_proper_subset(self, other: "GoalSet") -> bool:
-        return self.issubset(other) and self.mask != other.mask
+        self._check_same_space(other)
+        return includes(self.mask, other.mask, strict=True)
 
     def union(self, other: "GoalSet") -> "GoalSet":
         self._check_same_space(other)
@@ -81,13 +82,24 @@ class GoalSet:
             raise ValueError("goal sets over different state spaces")
 
 
-def support_of(dist: np.ndarray, threshold: float = SUPPORT_THRESHOLD) -> GoalSet:
-    """States carrying probability mass above the threshold."""
+def includes(inner: int, outer: int, strict: bool = False) -> bool:
+    """Whether state bitmask inner is a subset of outer, a proper one when
+    strict."""
+    return not inner & ~outer and not (strict and inner == outer)
+
+
+def support_masks(dists: np.ndarray) -> np.ndarray:
+    """Bitmask (uint64) of the states carrying mass above
+    SUPPORT_THRESHOLD, for each distribution along the last axis."""
+    dists = np.asarray(dists)
+    bits = np.left_shift(np.uint64(1), np.arange(dists.shape[-1], dtype=np.uint64))
+    return (dists > SUPPORT_THRESHOLD) @ bits
+
+
+def support_of(dist: np.ndarray) -> GoalSet:
+    """States carrying probability mass above SUPPORT_THRESHOLD."""
     dist = np.asarray(dist)
-    mask = 0
-    for s in np.flatnonzero(dist > threshold):
-        mask |= 1 << int(s)
-    return GoalSet(mask, dist.shape[0])
+    return GoalSet(int(support_masks(dist)), dist.shape[0])
 
 
 def concat(
@@ -119,7 +131,7 @@ def step_distribution(
     instance: DmdpInstance, dist: np.ndarray, rule: DecisionRule
 ) -> np.ndarray:
     """Push a state distribution through one epoch of the kernel under a rule."""
-    return dist @ _rule_kernel(instance, rule)
+    return dist @ _rule_kernel(instance, rule.actions)
 
 
 def propagate(

@@ -9,6 +9,7 @@ action per state per epoch), so a policy of length n controls epochs
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Literal
 
@@ -172,19 +173,25 @@ class ValidationReport:
 def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> ValidationReport:
     """Check model well-formedness; violations are data, not exceptions.
 
-    Rules: gamma in [0,1); r_max >= 0; every transition row is a
-    distribution (entries in [0,1], sum within STOCHASTIC_TOL of 1);
-    |reward| <= r_max; and, under sign_mode="nonpositive", reward <= 0.
-    sign_mode=None defers to the instance's declared sign_mode.
+    Rules: every number is finite (a NaN or infinity is reported as
+    non_finite in place of the other rules on that number); gamma in
+    [0,1); r_max >= 0; every transition row is a distribution (entries in
+    [0,1], sum within STOCHASTIC_TOL of 1); |reward| <= r_max; and, under
+    sign_mode="nonpositive", reward <= 0.  sign_mode=None defers to the
+    instance's declared sign_mode.
     """
     if sign_mode is None:
         sign_mode = instance.sign_mode
     if sign_mode not in ("any", "nonpositive"):
         raise ValueError(f"unknown sign_mode {sign_mode!r}")
     violations: list[tuple[str, tuple, float]] = []
-    if not 0.0 <= instance.gamma < 1.0:
+    if not math.isfinite(instance.gamma):
+        violations.append(("non_finite", (), instance.gamma))
+    elif not 0.0 <= instance.gamma < 1.0:
         violations.append(("gamma_range", (), instance.gamma))
-    if instance.r_max < 0.0:
+    if not math.isfinite(instance.r_max):
+        violations.append(("non_finite", (), instance.r_max))
+    elif instance.r_max < 0.0:
         violations.append(("r_max_nonnegative", (), instance.r_max))
 
     P = instance.transition
@@ -193,7 +200,9 @@ def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> Valid
             row = P[s, a]
             for sp in range(instance.num_states):
                 p = row[sp]
-                if p < 0.0 or p > 1.0:
+                if not math.isfinite(p):
+                    violations.append(("non_finite", (s, a, sp), float(p)))
+                elif p < 0.0 or p > 1.0:
                     violations.append(("transition_range", (s, a, sp), float(p)))
             total = float(row.sum())
             if abs(total - 1.0) > STOCHASTIC_TOL:
@@ -204,6 +213,9 @@ def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> Valid
         for s in range(instance.num_states):
             for a in range(instance.num_actions):
                 r = float(R[t, s, a])
+                if not math.isfinite(r):
+                    violations.append(("non_finite", (t, s, a), r))
+                    continue
                 if abs(r) > instance.r_max:
                     violations.append(("reward_bound", (t, s, a), r))
                 if sign_mode == "nonpositive" and r > 0.0:

@@ -23,17 +23,16 @@ continuations.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .bellman import evaluate_policy
-from .composition import GoalSet, support_of
+from .bellman import _rule_kernel, evaluate_policy
+from .composition import GoalSet, includes, support_masks, support_of
 from .core import (
     DmdpError,
     DmdpInstance,
-    EMPTY_POLICY,
     InstanceValidationError,
     TimeVaryingPolicy,
     enumerate_decision_rules,
@@ -100,17 +99,6 @@ class GdsConfig:
 
 
 @dataclass(frozen=True)
-class SearchNode:
-    """A queued candidate: a policy with its value, goal set and depth."""
-
-    policy: TimeVaryingPolicy
-    value: float
-    goal: GoalSet
-    depth: int
-    dist: np.ndarray = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class GdsResult:
     found: bool
     policy: TimeVaryingPolicy | None
@@ -119,33 +107,6 @@ class GdsResult:
     nodes_popped: int
     nodes_pruned: int
     trace: tuple[dict, ...] | None = None
-
-
-def _includes(inner: int, outer: int, strict: bool) -> bool:
-    if inner & ~outer:
-        return False
-    return inner != outer if strict else True
-
-
-def _satisfies(goal: GoalSet, config: GdsConfig) -> bool:
-    if config.mode == "reach":
-        return _includes(goal.mask, config.target.mask, config.strict_subset)
-    return _includes(config.target.mask, goal.mask, config.strict_subset)
-
-
-def _prune_inclusion(record_mask: int, goal: GoalSet, config: GdsConfig) -> bool:
-    # A record dominates in reach mode when its goal set is contained in
-    # the node's (its constraint is at least as tight), and dually for cover.
-    if config.mode == "reach":
-        return _includes(record_mask, goal.mask, config.strict_subset)
-    return _includes(goal.mask, record_mask, config.strict_subset)
-
-
-def _key(node: SearchNode) -> tuple:
-    # Max-value queue with deterministic ties: shallower first, then
-    # lexicographic on the policy's action vectors.  Distinct nodes always
-    # carry distinct policies, so the key is a total order.
-    return (-node.value, node.depth, node.policy.encoding())
 
 
 def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
@@ -165,34 +126,36 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         raise ValueError("target goal set is over a different state space")
 
     S = instance.num_states
-    T = instance.horizon
-    gamma = instance.gamma
-    idx = np.arange(S)
+    strict = config.strict_subset
     rules = list(enumerate_decision_rules(instance))
-    # Per-rule views of the model: kernel matrix and per-epoch reward vector.
-    kernels = []
-    rule_rewards = []
-    for rule in rules:
-        actions = np.array(rule.actions)
-        kernels.append(instance.transition[idx, actions, :])
-        rule_rewards.append(instance.reward[:, idx, actions])
+    actions = np.array([rule.actions for rule in rules])
+    kernels = _rule_kernel(instance, actions)
+    # Row [t, r] is rule r's reward vector at epoch t.  Keep this fancy
+    # index: its rows are strided, and BLAS sums a strided dot in another
+    # order than a contiguous one, so a contiguous copy changes the last
+    # bit of some values (the pinned-hash test in test_gds.py shows it).
+    rewards = instance.reward[:, np.arange(S), actions]
+
+    def tighter(a: int, b: int) -> bool:
+        # Goal set a is at least as tight a constraint as b: inside b for
+        # reach, around b for cover.  One predicate serves termination
+        # (a node against the target), pruning (a record against a node)
+        # and record updates (a child against a record).
+        return includes(a, b, strict) if config.mode == "reach" else includes(b, a, strict)
+
+    def policy_of(path: tuple[int, ...]) -> TimeVaryingPolicy:
+        return TimeVaryingPolicy(tuple(rules[i] for i in path))
+
+    def members(mask: int) -> tuple[int, ...]:
+        return GoalSet(mask, S).members()
 
     events: list[dict] | None = [] if config.trace else None
-
-    def log(event: str, **fields):
-        if events is not None:
-            events.append({"event": event, **fields})
-
     root_dist = np.zeros(S)
     root_dist[config.start] = 1.0
-    root = SearchNode(
-        policy=EMPTY_POLICY,
-        value=0.0,
-        goal=GoalSet(1 << config.start, S),
-        depth=0,
-        dist=root_dist,
-    )
-    heap: list[tuple[tuple, SearchNode]] = [(_key(root), root)]
+    # Max-value queue with deterministic ties: shallower first, then
+    # lexicographic on the path of rule indices, which is the order of the
+    # policies' action vectors.  Paths are distinct, so the order is total.
+    heap = [(-0.0, 0, (), support_of(root_dist).mask, root_dist)]
     # Best known value per goal-set mask from this start, and the set of
     # masks whose records are final because a node carrying them was popped.
     records: dict[int, float] = {}
@@ -200,145 +163,98 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     nodes_popped = 0
     nodes_pruned = 0
     last_value = np.inf
-
-    def finish(node: SearchNode | None) -> GdsResult:
-        if node is None:
-            log("terminate", reason="queue-exhausted")
-            return GdsResult(
-                found=False,
-                policy=None,
-                value=None,
-                goal=None,
-                nodes_popped=nodes_popped,
-                nodes_pruned=nodes_pruned,
-                trace=tuple(events) if events is not None else None,
-            )
-        log("terminate", reason="goal-constraint-met", depth=node.depth, value=node.value)
-        return GdsResult(
-            found=True,
-            policy=node.policy,
-            value=node.value,
-            goal=node.goal,
-            nodes_popped=nodes_popped,
-            nodes_pruned=nodes_pruned,
-            trace=tuple(events) if events is not None else None,
-        )
+    found = False
 
     while heap:
-        _, node = heapq.heappop(heap)
+        neg_value, depth, path, mask, dist = heapq.heappop(heap)
+        value = -neg_value
         nodes_popped += 1
         if nodes_popped > config.node_budget:
             raise NodeBudgetExceeded(config.node_budget)
-        log(
-            "pop",
-            depth=node.depth,
-            value=node.value,
-            goal=node.goal.members(),
-            policy=node.policy.encoding(),
-        )
-        if config.verify:
-            if node.value > last_value + 1e-12:
-                raise QueueInvariantViolation(
-                    f"pop values increased: {node.value!r} after {last_value!r}"
-                )
-            last_value = node.value
-        popped_goals.add(node.goal.mask)
+        if events is not None:
+            events.append({"event": "pop", "depth": depth, "value": value,
+                           "goal": members(mask), "policy": policy_of(path).encoding()})
+        if config.verify and value > last_value + 1e-12:
+            raise QueueInvariantViolation(f"pop values increased: {value!r} after {last_value!r}")
+        last_value = value
+        popped_goals.add(mask)
 
         # The empty root never counts as a result: constrained policies
         # have length >= 1 by definition.
-        if node.depth >= 1 and _satisfies(node.goal, config):
-            return finish(node)
+        if depth >= 1 and tighter(mask, config.target.mask):
+            found = True
+            break
 
-        if node.depth == T:
-            log("cutoff", depth=node.depth, policy=node.policy.encoding())
+        if depth == instance.horizon:
+            if events is not None:
+                events.append({"event": "cutoff", "depth": depth,
+                               "policy": policy_of(path).encoding()})
             continue
 
-        eps_t = epsilon(instance, node.depth)
-        pruned = False
-        for mask, recorded in records.items():
-            if (
-                _prune_inclusion(mask, node.goal, config)
-                and node.value <= recorded - eps_t
-            ):
-                nodes_pruned += 1
-                pruned = True
-                log(
-                    "prune",
-                    depth=node.depth,
-                    value=node.value,
-                    goal=node.goal.members(),
-                    record_goal=GoalSet(mask, S).members(),
-                    record_value=recorded,
-                    epsilon=eps_t,
-                )
-                if config.verify:
-                    # Re-derive the justification through the public set and
-                    # schedule APIs rather than the loop's own bit twiddling.
-                    rec_set = GoalSet(mask, S)
-                    contained = (
-                        rec_set.is_proper_subset(node.goal)
-                        if config.strict_subset
-                        else rec_set.issubset(node.goal)
-                    )
-                    if config.mode == "cover":
-                        contained = (
-                            node.goal.is_proper_subset(rec_set)
-                            if config.strict_subset
-                            else node.goal.issubset(rec_set)
-                        )
-                    if not contained or node.value > recorded - epsilon(
-                        instance, node.depth
-                    ):
-                        raise QueueInvariantViolation(
-                            f"unjustified prune at depth {node.depth}"
-                        )
-                break
-        if pruned:
-            continue
-
-        t = node.depth
-        gamma_t = gamma**t
-        best_child = -np.inf
-        for ri, rule in enumerate(rules):
-            child_value = node.value + gamma_t * float(node.dist @ rule_rewards[ri][t])
-            child_dist = node.dist @ kernels[ri]
-            child = SearchNode(
-                policy=node.policy.extended(rule),
-                value=child_value,
-                goal=support_of(child_dist),
-                depth=t + 1,
-                dist=child_dist,
-            )
-            heapq.heappush(heap, (_key(child), child))
-            log(
-                "push",
-                depth=child.depth,
-                value=child.value,
-                goal=child.goal.members(),
-                rule=rule.actions,
-            )
+        eps_t = epsilon(instance, depth)
+        rival = next((m for m in records if tighter(m, mask) and value <= records[m] - eps_t), None)
+        if rival is not None:
+            nodes_pruned += 1
+            recorded = records[rival]
+            if events is not None:
+                events.append({"event": "prune", "depth": depth, "value": value,
+                               "goal": members(mask), "record_goal": members(rival),
+                               "record_value": recorded, "epsilon": eps_t})
             if config.verify:
-                exact = float(
-                    evaluate_policy(instance, child.policy).values[0, config.start]
+                # Re-justify with set semantics on the members, not the
+                # loop's own bit test.
+                node_set, record_set = set(members(mask)), set(members(rival))
+                inner, outer = (
+                    (record_set, node_set) if config.mode == "reach" else (node_set, record_set)
                 )
+                if not (inner < outer if strict else inner <= outer) or value > recorded - eps_t:
+                    raise QueueInvariantViolation(f"unjustified prune at depth {depth}")
+            continue
+
+        # Expand every rule at once: the children's distributions, values
+        # and goal sets, in rule order.
+        child_dists = dist @ kernels
+        child_values = (value + instance.gamma**depth * np.vecdot(rewards[depth], dist)).tolist()
+        child_masks = support_masks(child_dists).tolist()
+        for ri, (child_value, child_mask) in enumerate(zip(child_values, child_masks)):
+            child_path = path + (ri,)
+            heapq.heappush(heap, (-child_value, depth + 1, child_path, child_mask, child_dists[ri]))
+            if events is not None:
+                events.append({"event": "push", "depth": depth + 1, "value": child_value,
+                               "goal": members(child_mask), "rule": rules[ri].actions})
+            if config.verify:
+                policy = policy_of(child_path)
+                exact = float(evaluate_policy(instance, policy).values[0, config.start])
                 if abs(child_value - exact) > QUEUE_VALUE_TOL:
                     raise QueueInvariantViolation(
                         f"queued value {child_value!r} != exact value {exact!r} "
-                        f"for policy {child.policy.encoding()}"
+                        f"for policy {policy.encoding()}"
                     )
-            if child_value > best_child:
-                best_child = child_value
             # Raise still-open records that the child's goal set dominates.
-            for mask in records:
-                if mask in popped_goals:
-                    continue
-                if _prune_inclusion(child.goal.mask, GoalSet(mask, S), config) and (
-                    child_value > records[mask]
-                ):
-                    records[mask] = child_value
-                    log("record-update", goal=GoalSet(mask, S).members(), value=child_value)
-        if node.goal.mask not in records:
-            records[node.goal.mask] = best_child
-            log("record", goal=node.goal.members(), value=best_child)
+            for m, recorded in records.items():
+                if m not in popped_goals and tighter(child_mask, m) and child_value > recorded:
+                    records[m] = child_value
+                    if events is not None:
+                        events.append({"event": "record-update", "goal": members(m),
+                                       "value": child_value})
+        if mask not in records:
+            records[mask] = max(child_values)
+            if events is not None:
+                events.append({"event": "record", "goal": members(mask), "value": records[mask]})
 
-    return finish(None)
+    # After a break, value, depth, path and mask describe the winning node.
+    if events is not None:
+        events.append(
+            {"event": "terminate", "reason": "goal-constraint-met", "depth": depth, "value": value}
+            if found
+            else {"event": "terminate", "reason": "queue-exhausted"}
+        )
+    return GdsResult(
+        found=found,
+        policy=policy_of(path) if found else None,
+        value=value if found else None,
+        goal=GoalSet(mask, S) if found else None,
+        nodes_popped=nodes_popped,
+        nodes_pruned=nodes_pruned,
+        trace=tuple(events) if events is not None else None,
+    )

@@ -166,6 +166,29 @@ def test_node_budget_env_var(instance_file):
     proc = run_cli("solve-reach", instance_file, "--start", "0",
                    "--target", "0,1,2", "--node-budget", "100000", env=env)
     assert proc.returncode == 0
+    # a budget that is not a positive integer is a usage error
+    for value in ("abc", "0"):
+        proc = run_cli("solve-reach", instance_file, "--start", "0", "--target", "0,1,2",
+                       env=dict(os.environ, GDS_NODE_BUDGET=value))
+        assert proc.returncode == 64
+        assert "usage:" in proc.stderr and "GDS_NODE_BUDGET" in proc.stderr
+    proc = run_cli("solve-reach", instance_file, "--start", "0", "--target", "0,1,2",
+                   "--node-budget", "0")
+    assert proc.returncode == 64
+    assert "usage:" in proc.stderr and "--node-budget" in proc.stderr
+
+
+def test_non_finite_numbers_exit_1_with_their_location(tmp_path):
+    inst = generate(7, 3, 2, 3, 0.5)
+    path = tmp_path / "nan.json"
+    save(inst, path)
+    doc = json.loads(path.read_text())
+    doc["reward"][1][2][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "value-star"):
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 1
+        assert "non_finite at (1, 2, 0): nan" in proc.stderr
 
 
 def test_report_config_replays_to_the_same_result(instance_file):

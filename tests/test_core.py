@@ -144,3 +144,51 @@ def test_rule_and_policy_checks():
     ok.check_against(inst)
     assert len(ok) == 2 and not ok.is_empty
     assert ok.encoding() == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "field, index, bad, location",
+    [
+        ("gamma", None, np.nan, ()),
+        ("r_max", None, np.inf, ()),
+        ("transition", (1, 0, 1), np.nan, (1, 0, 1)),
+        ("reward", (1, 1, 0), -np.inf, (1, 1, 0)),
+    ],
+)
+def test_validate_reports_non_finite_numbers_at_their_location(field, index, bad, location):
+    fields = dict(
+        num_states=2, num_actions=2, horizon=2, gamma=0.5, r_max=1.0,
+        transition=np.full((2, 2, 2), 0.5), reward=np.zeros((2, 2, 2)),
+    )
+    if index is None:
+        fields[field] = bad
+    else:
+        fields[field][index] = bad
+    report = validate(DmdpInstance(**fields))
+    assert not report.ok
+    located = [loc for rule, loc, _ in report.violations if rule == "non_finite"]
+    assert located == [location]
+    # The number is reported once, not again by the range or bound rules.
+    assert not [v for v in report.violations if v[1] == location and v[0] != "non_finite"]
+
+
+def test_validate_order_on_finite_input():
+    transition = np.full((2, 2, 2), 0.5)
+    transition[0, 1] = [1.25, -0.25]
+    transition[1, 0] = [0.5, 0.25]
+    reward = np.zeros((2, 2, 2))
+    reward[0, 1, 1] = 2.0
+    reward[1, 0, 0] = -3.0
+    inst = DmdpInstance(
+        num_states=2, num_actions=2, horizon=2, gamma=1.5, r_max=1.0,
+        transition=transition, reward=reward,
+    )
+    assert validate(inst, sign_mode="nonpositive").violations == (
+        ("gamma_range", (), 1.5),
+        ("transition_range", (0, 1, 0), 1.25),
+        ("transition_range", (0, 1, 1), -0.25),
+        ("stochasticity", (1, 0), 0.75),
+        ("reward_bound", (0, 1, 1), 2.0),
+        ("reward_sign", (0, 1, 1), 2.0),
+        ("reward_bound", (1, 0, 0), -3.0),
+    )
