@@ -1,9 +1,13 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from conftest import sparse_instance
 
 from dmdp import (
     DmdpInstance,
@@ -283,3 +287,70 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
             assert report_of(proc)["command"] == argv[0]
         if expected == 64:
             assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# byte pins of the run reports, timing removed, and of the files they write;
+# like the search pin in test_gds.py, the floats are tied to the machine's
+# numpy/BLAS rounding
+
+
+def _report_without_timing(text):
+    """The report's bytes up to its last key, `timing`, which is dropped."""
+    head, sep, tail = text.rpartition(',\n  "timing": {\n    "seconds": ')
+    assert sep and re.fullmatch(r"[0-9.e+-]+\n  }\n}\n", tail), text
+    return head
+
+
+PINNED_RUNS = [
+    (0, ["validate", "inst.json"],
+     "0a1d735f962949d4251d93fb21b89c6edbf3b57b84b0e471bcc30ef05b77c7ca"),
+    (1, ["validate", "gap.json", "--sign-mode", "nonpositive"],
+     "d5e625e0ab4478366381586317eedc1b45ad48375ee3d7a5d1e2e1e2637cdf14"),
+    (0, ["value-star", "inst.json"],
+     "7fab056d25d936fba9f2f83f04240df854deefb215390a15d8d90ed1f2bec689"),
+    (0, ["policy-iter", "inst.json", "--init", "0,0,0;1,1,1;0,1,0"],
+     "272a29a19ff19c241553debfd4c40f8615ded0b1ffee298f5203fddc470f5843"),
+    (0, ["policy-iter", "sparse.json"],
+     "36cfff83ef801655ba3b6491be3b20ee4cc584b902ef16541257efe6210cc496"),
+    (0, ["solve-reach", "sparse.json", "--start", "0", "--target", "2",
+         "--verify", "--trace", "trace.json"],
+     "c21f973f5a69ee7292d1be71af4471ff84fced6e1f21e5968d75e37375a54fbf"),
+    (2, ["solve-reach", "inst.json", "--start", "0", "--target", "2"],
+     "c59c85581c1f206f203dbfa489a76ae018fecb980d4b9ff2387810ff3e35b761"),
+    (0, ["solve-cover", "sparse.json", "--start", "0", "--target", "0", "--strict",
+         "--node-budget", "500"],
+     "309eb5175ee06ca170f7a7cbd72082cd50cd4199b72bb38f77374e6350d089fb"),
+    (0, ["brute-check", "sparse.json", "--start", "0", "--target", "2"],
+     "da455835a79c5da976db0eed4639b7feed04b4f88e2e6c3880acdfc3cf3edb97"),
+    (0, ["brute-check", "inst.json", "--start", "0", "--target", "2", "--mode", "cover",
+         "--max-len", "2", "--budget", "100"],
+     "d1b2a7693f2c574ee4ea0b90b65a4e1d28fb205cb57c8c4dd0210bce4bb55b3b"),
+    (0, ["gen", "--seed", "5", "--states", "4", "--actions", "3", "--horizon", "3",
+         "--gamma", "0.75", "-o", "made.json"],
+     "f4aecf65775957b54d54d27e31f093dea304daf844026b6bfb9caf9ee96352f2"),
+    (0, ["demo-static-gap"],
+     "1941c4b4a782945bb989b437bd18d4c93a3c842c42a098f9436c0dba8758d9b9"),
+]
+
+PINNED_FILES = {
+    "trace.json": "983aed3a897055539a149bcc2dd52fec8a93ff7f7da50131efc78fbb85dcd6cf",
+    "made.json": "a07662427284037a6d377c84da7df9c3bbf8fa303f9c8ac227aceaec6588c6af",
+}
+
+
+def test_reports_and_written_files_are_pinned(tmp_path, monkeypatch, capsys):
+    from dmdp import cli
+
+    # A fixed relative path keeps config.file and config.out stable.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GDS_NODE_BUDGET", raising=False)
+    save(generate(7, 3, 2, 3, 0.5), "inst.json")
+    save(make_static_gap_instance(), "gap.json")
+    save(sparse_instance(1), "sparse.json")
+    for code, argv, expected in PINNED_RUNS:
+        assert cli.main(argv) == code, argv
+        report = _report_without_timing(capsys.readouterr().out)
+        assert hashlib.sha256(report.encode("utf-8")).hexdigest() == expected, argv
+    for name, expected in PINNED_FILES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name

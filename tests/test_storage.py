@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -156,3 +157,77 @@ def test_metadata_round_trips(tmp_path):
     path = tmp_path / "meta.json"
     save(inst, path)
     assert load(path).metadata == {"name": "random-11", "seed": 11}
+
+
+# ---------------------------------------------------------------------------
+# byte pins of the canonical writer
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "shape, expected",
+    [
+        (
+            (0, 3, 2, 3, 0.5),
+            "93d6d16bfe8c35c3a5c2514da599ed62ae6a63cb6de5e02d4124c2df0248bc4a",
+        ),
+        (
+            (11, 7, 3, 5, 0.875),
+            "75839d0916ef2e1a7116c50362f54c8dd6e1ff943fd461fb81b571fef07f8d7e",
+        ),
+        (
+            (3, 64, 4, 50, 0.9),
+            "a0d7007b6ac8ab2d0b0ba24d7b303043461af8aa3cc8ec6df74cce15525fbde1",
+        ),
+    ],
+)
+def test_instance_text_is_pinned(shape, expected):
+    assert _sha256(dumps_instance(generate(*shape))) == expected
+
+
+def _every_accepted_type():
+    return {
+        "nested": {"list": [1, [2, [3.5, []]], {}], "tuple": (True, None, ("x", ()))},
+        "empty_list": [],
+        "empty_dict": {},
+        "empty_array": np.zeros((0,)),
+        "empty_rows": np.zeros((2, 0)),
+        "scalar_array": np.array(2.5),
+        "int_scalar_array": np.array(7),
+        "matrix": np.arange(6, dtype=np.float64).reshape(2, 3) / 3.0,
+        "int_matrix": np.arange(4).reshape(2, 2),
+        "flags": [True, False, None],
+        "strings": ["", "ascii", "naïve ∑ 😀", "quote \" backslash \\ tab \t nl \n nul \x00"],
+        "é key \n": "non-ASCII and escaped key",
+        "numpy": [np.int64(-9), np.float32(0.1), np.float64(1.0 / 3.0)],
+        "ints": [0, -1, 2**63, -(2**70)],
+        "floats": [-0.0, 5e-324, 1e300, 1.0, -1e-7, 123456789.0, 1e16, 0.1],
+    }
+
+
+def test_dumps_json_text_of_every_accepted_type_is_pinned():
+    text = dumps_json(_every_accepted_type())
+    assert json.loads(text)["floats"][0] == 0.0
+    assert _sha256(text) == "25227b5ce3265a2efc2fd101e915d9a8df50ac3efe7c559cd79cb5ace1de4ae9"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        float("-inf"),
+        np.float64("inf"),
+        {1: "x"},
+        {"ok": {None: 1}},
+        np.bool_(True),
+        object(),
+        [1, {"deep": [object()]}],
+        {1.5, 2.5},
+    ],
+)
+def test_dumps_json_rejects_what_it_cannot_spell(value):
+    with pytest.raises(ValueError):
+        dumps_json(value)
