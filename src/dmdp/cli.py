@@ -57,26 +57,22 @@ def _policy_payload(policy: TimeVaryingPolicy) -> list[list[int]]:
     return [list(rule.actions) for rule in policy.rules]
 
 
-def _emit(command: str, instance_digest: str, config: dict, result: dict, started: float) -> None:
-    report = {
-        "command": command,
-        "library_version": __version__,
-        "instance_digest": instance_digest,
-        "config": config,
-        "result": result,
-        "timing": {"seconds": time.perf_counter() - started},
-    }
-    print(dumps_json(report))
-
-
-def _parse_budget(text: str) -> int:
+def _parse_positive(text: str) -> int:
     try:
-        budget = int(text)
+        number = int(text)
     except ValueError:
-        budget = 0
-    if budget < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive node budget, got {text!r}")
-    return budget
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return number
+
+
+def _checked(instance):
+    """instance, or InstanceValidationError when it breaks a model invariant."""
+    report = validate(instance)
+    if not report.ok:
+        raise InstanceValidationError(report)
+    return instance
 
 
 def _node_budget(args) -> int:
@@ -86,13 +82,16 @@ def _node_budget(args) -> int:
     if env is None:
         return DEFAULT_NODE_BUDGET
     try:
-        return _parse_budget(env)
+        return _parse_positive(env)
     except argparse.ArgumentTypeError as e:
         args.usage_error(f"GDS_NODE_BUDGET: {e}")
 
 
-def _cmd_validate(args) -> int:
-    started = time.perf_counter()
+# Each _cmd_* returns (instance digest, config, result, exit code); main
+# times the run and prints the report.
+
+
+def _cmd_validate(args):
     instance = load(args.file, check=False)
     report = validate(instance, sign_mode=args.sign_mode)
     if any(rule == "non_finite" for rule, _, _ in report.violations):
@@ -108,21 +107,16 @@ def _cmd_validate(args) -> int:
         ],
     }
     config = {"file": args.file, "sign_mode": args.sign_mode}
-    _emit("validate", digest(instance), config, result, started)
-    return 0 if report.ok else 1
+    return digest(instance), config, result, 0 if report.ok else 1
 
 
-def _cmd_value_star(args) -> int:
-    started = time.perf_counter()
+def _cmd_value_star(args):
     instance = load(args.file)
     values = optimal_values(instance)
-    config = {"file": args.file}
-    _emit("value-star", digest(instance), config, {"values": values.values}, started)
-    return 0
+    return digest(instance), {"file": args.file}, {"values": values.values}, 0
 
 
-def _cmd_policy_iter(args) -> int:
-    started = time.perf_counter()
+def _cmd_policy_iter(args):
     instance = load(args.file)
     init = args.init if args.init is not None else EMPTY_POLICY
     result = policy_iteration(instance, init)
@@ -135,18 +129,16 @@ def _cmd_policy_iter(args) -> int:
         "file": args.file,
         "init": _policy_payload(init) if args.init is not None else None,
     }
-    _emit("policy-iter", digest(instance), config, payload, started)
-    return 0
+    return digest(instance), config, payload, 0
 
 
-def _cmd_solve(args, mode: str) -> int:
-    started = time.perf_counter()
+def _cmd_solve(args):
     budget = _node_budget(args)
     instance = load(args.file)
     config_obj = GdsConfig(
         start=args.start,
         target=GoalSet.from_states(args.target, instance.num_states),
-        mode=mode,
+        mode=args.command.removeprefix("solve-"),
         strict_subset=args.strict,
         trace=args.trace is not None,
         verify=args.verify,
@@ -173,12 +165,10 @@ def _cmd_solve(args, mode: str) -> int:
         "node_budget": budget,
         "trace": args.trace,
     }
-    _emit(f"solve-{mode}", digest(instance), config, payload, started)
-    return 0 if result.found else 2
+    return digest(instance), config, payload, 0 if result.found else 2
 
 
-def _cmd_brute_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_brute_check(args):
     instance = load(args.file)
     target = GoalSet.from_states(args.target, instance.num_states)
     max_len = args.max_len if args.max_len is not None else instance.horizon
@@ -201,13 +191,13 @@ def _cmd_brute_check(args) -> int:
         "max_len": max_len,
         "budget": args.budget,
     }
-    _emit("brute-check", digest(instance), config, payload, started)
-    return 0 if best is not None else 2
+    return digest(instance), config, payload, 0 if best is not None else 2
 
 
-def _cmd_gen(args) -> int:
-    started = time.perf_counter()
-    instance = generate(args.seed, args.states, args.actions, args.horizon, args.gamma)
+def _cmd_gen(args):
+    instance = _checked(
+        generate(args.seed, args.states, args.actions, args.horizon, args.gamma)
+    )
     save(instance, args.out)
     config = {
         "seed": args.seed,
@@ -217,13 +207,12 @@ def _cmd_gen(args) -> int:
         "gamma": args.gamma,
         "out": args.out,
     }
-    _emit("gen", digest(instance), config, {"path": args.out, "digest": digest(instance)}, started)
-    return 0
+    instance_digest = digest(instance)
+    return instance_digest, config, {"path": args.out, "digest": instance_digest}, 0
 
 
-def _cmd_demo_static_gap(args) -> int:
-    started = time.perf_counter()
-    instance = make_static_gap_instance(gamma=args.gamma)
+def _cmd_demo_static_gap(args):
+    instance = _checked(make_static_gap_instance(gamma=args.gamma))
     statics = {}
     for a in range(instance.num_actions):
         policy = TimeVaryingPolicy.from_actions([[a]] * instance.horizon)
@@ -239,8 +228,7 @@ def _cmd_demo_static_gap(args) -> int:
         "dynamic_best": float(star.values[0, 0]),
         "dynamic_policy": _policy_payload(result.policy),
     }
-    _emit("demo-static-gap", digest(instance), {"gamma": args.gamma}, payload, started)
-    return 0
+    return digest(instance), {"gamma": args.gamma}, payload, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,16 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-derive queued values by exact evaluation")
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="write the search event log to PATH")
-        p.add_argument("--node-budget", type=_parse_budget, default=None)
-        p.set_defaults(func=lambda a, m=mode: _cmd_solve(a, m), usage_error=p.error)
+        p.add_argument("--node-budget", type=_parse_positive, default=None)
+        p.set_defaults(func=_cmd_solve, usage_error=p.error)
 
     p = sub.add_parser("brute-check", help="exhaustive baseline for solve results")
     p.add_argument("file")
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--target", type=_parse_states, required=True)
     p.add_argument("--mode", choices=["reach", "cover"], default="reach")
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_POLICY_BUDGET)
+    p.add_argument("--max-len", type=_parse_positive, default=None)
+    p.add_argument("--budget", type=_parse_positive, default=DEFAULT_POLICY_BUDGET)
     p.set_defaults(func=_cmd_brute_check)
 
     p = sub.add_parser("gen", help="generate a reproducible random instance file")
@@ -311,16 +299,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except DmdpError as e:
+        instance_digest, config, result, code = args.func(args)
+        report = {
+            "command": args.command,
+            "library_version": __version__,
+            "instance_digest": instance_digest,
+            "config": config,
+            "result": result,
+            "timing": {"seconds": time.perf_counter() - started},
+        }
+        print(dumps_json(report))
+    except (DmdpError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    return code
 
 
 if __name__ == "__main__":

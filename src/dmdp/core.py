@@ -105,9 +105,6 @@ class DecisionRule:
 
     actions: tuple[int, ...]
 
-    def action_for(self, state: int) -> int:
-        return self.actions[state]
-
     def check_against(self, instance: DmdpInstance) -> None:
         if len(self.actions) != instance.num_states:
             raise ValueError(
@@ -135,9 +132,6 @@ class TimeVaryingPolicy:
 
     def rule_at(self, i: int) -> DecisionRule:
         return self.rules[i]
-
-    def extended(self, rule: DecisionRule) -> "TimeVaryingPolicy":
-        return TimeVaryingPolicy(self.rules + (rule,))
 
     def encoding(self) -> tuple[tuple[int, ...], ...]:
         """Pure-int encoding, usable as a deterministic sort key."""

@@ -51,64 +51,49 @@ class InstanceFormatError(DmdpError):
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     s = format(x, ".17g")
     # Keep floats recognizably floats: "1" or "-0" would reload as ints.
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    return s if "." in s or "e" in s else s + ".0"
 
 
-def _write(value: Any, out: list[str], indent: int) -> None:
-    pad = "  " * indent
+def _text(value: Any, pad: str) -> str:
+    """The JSON text of value, whose container lines are indented by pad."""
+    if isinstance(value, (float, np.floating)):
+        return _format_float(float(value))
     if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_format_float(float(value)))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, np.ndarray):
-        _write(value.tolist(), out, indent)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, item in enumerate(value):
-            out.append("\n" + pad + "  ")
-            _write(item, out, indent + 1)
-            if i != len(value) - 1:
-                out.append(",")
-        out.append("\n" + pad + "]")
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        return _text(value.tolist(), pad)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_text(item, inner) for item in value]
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{")
-        items = list(value.items())
-        for i, (key, item) in enumerate(items):
+        brackets = "{}"
+        for key in value:
             if not isinstance(key, str):
                 raise ValueError(f"object keys must be strings, got {key!r}")
-            out.append("\n" + pad + "  " + json.dumps(key) + ": ")
-            _write(item, out, indent + 1)
-            if i != len(items) - 1:
-                out.append(",")
-        out.append("\n" + pad + "}")
+        items = [json.dumps(key) + ": " + _text(item, inner) for key, item in value.items()]
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")
+    if not items:
+        return brackets
+    sep = ",\n" + inner
+    return brackets[0] + "\n" + inner + sep.join(items) + "\n" + pad + brackets[1]
 
 
 def dumps_json(value: Any) -> str:
     """Serialize to JSON deterministically: insertion-ordered keys,
     17-significant-digit floats, 2-space indentation."""
-    out: list[str] = []
-    _write(value, out, 0)
-    return "".join(out)
+    return _text(value, "")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -159,8 +160,6 @@ def test_trace_file_records_the_search(instance_file, tmp_path):
 
 
 def test_node_budget_env_var(instance_file):
-    import os
-
     env = dict(os.environ, GDS_NODE_BUDGET="1")
     proc = run_cli("solve-reach", instance_file, "--start", "0",
                    "--target", "0,1,2", env=env)
@@ -250,6 +249,7 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
     )
     missing = str(tmp_path / "missing.json")
     out = str(tmp_path / "made.json")
+    invalid = str(tmp_path / "invalid.json")
 
     matrix = [
         (0, ["validate", instance_file]),
@@ -271,13 +271,22 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (2, ["brute-check", instance_file, "--start", "0", "--target", "2"]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", "0",
               "--mode", "nope"]),
+        (64, ["brute-check", instance_file, "--start", "0", "--target", "0",
+              "--budget", "0"]),
+        (64, ["brute-check", instance_file, "--start", "0", "--target", "0",
+              "--max-len", "0"]),
+        (1, ["brute-check", instance_file, "--start", "0", "--target", "0",
+             "--max-len", "4"]),
         (0, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
              "--horizon", "2", "--gamma", "0.5", "-o", out]),
         (1, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
              "--horizon", "2", "--gamma", "0.5", "-o",
              str(tmp_path / "no-such-dir" / "x.json")]),
+        (1, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
+             "--horizon", "2", "--gamma", "1.5", "-o", invalid]),
         (64, ["gen", "--seed", "1"]),
         (0, ["demo-static-gap"]),
+        (1, ["demo-static-gap", "--gamma", "2"]),
         (64, ["demo-static-gap", "--gamma", "not-a-number"]),
     ]
     for expected, argv in matrix:
@@ -287,6 +296,10 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
             assert report_of(proc)["command"] == argv[0]
         if expected == 64:
             assert proc.stdout == ""
+        if "--gamma" in argv and argv[argv.index("--gamma") + 1] in ("1.5", "2"):
+            assert proc.stdout == ""
+            assert "gamma_range at ()" in proc.stderr
+    assert not os.path.exists(invalid)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from dmdp import (
     gds_search,
     generate,
     goal_set,
-    realizable_goal_sets,
 )
 
 
@@ -212,46 +211,13 @@ def test_found_value_equals_exact_policy_value():
 # oracle sweep
 
 
-def test_search_matches_brute_force_on_sparse_sweep():
-    total_targets = 0
-    for seed in range(30):
-        inst = sparse_instance(seed)
-        for start in (0, 2):
-            targets = set(realizable_goal_sets(inst, start, inst.horizon))
-            # also probe singletons, realizable or not, for found-parity
-            targets |= {GoalSet.from_states([s], 3) for s in range(3)}
-            for target in targets:
-                total_targets += 1
-                for mode, brute in (
-                    ("reach", brute_force_reach),
-                    ("cover", brute_force_cover),
-                ):
-                    config = GdsConfig(start=start, target=target, mode=mode)
-                    result = gds_search(inst, config)
-                    expected = brute(inst, start, target, inst.horizon)
-                    if expected is None:
-                        assert not result.found
-                        continue
-                    assert result.found
-                    assert abs(result.value - expected.value) <= 1e-9
-                    if mode == "reach":
-                        assert result.goal.issubset(target)
-                    else:
-                        assert target.issubset(result.goal)
-    assert total_targets >= 100
-
-
-# ---------------------------------------------------------------------------
-# sparse sweep with brute-force outcomes
-
-
 @pytest.fixture(scope="module")
 def sparse_sweep():
     """(instance, start, targets, outcomes) for the 30-seed sparse sweep.
 
     outcomes lists (value, goal members) for every policy of length
     1..horizon from start; targets are the realized goal sets plus every
-    singleton, the same targets the oracle sweep above probes.
+    singleton, realizable or not, so found-parity is probed too.
     """
     cases = []
     for seed in range(30):
@@ -269,23 +235,58 @@ def sparse_sweep():
     return cases
 
 
+def _best(outcomes, members, mode, strict=False):
+    """The best value among outcomes whose goal meets the target, or None."""
+    values = []
+    for value, goal in outcomes:
+        inner, outer = (goal, members) if mode == "reach" else (members, goal)
+        if inner < outer or (not strict and inner == outer):
+            values.append(value)
+    return max(values, default=None)
+
+
+def test_search_matches_brute_force_on_sparse_sweep(sparse_sweep):
+    # The fixture's outcomes stand in for the oracle; tie them to it on seed 0.
+    for inst, start, targets, outcomes in sparse_sweep[:2]:
+        for members in targets:
+            target = GoalSet.from_states(members, 3)
+            for mode, brute in (("reach", brute_force_reach), ("cover", brute_force_cover)):
+                expected = brute(inst, start, target, inst.horizon)
+                best = _best(outcomes, members, mode)
+                assert best == (None if expected is None else expected.value)
+    total_targets = 0
+    for inst, start, targets, outcomes in sparse_sweep:
+        for members in targets:
+            total_targets += 1
+            target = GoalSet.from_states(members, 3)
+            for mode in ("reach", "cover"):
+                result = gds_search(inst, GdsConfig(start=start, target=target, mode=mode))
+                best = _best(outcomes, members, mode)
+                assert result.found == (best is not None)
+                if best is None:
+                    continue
+                assert abs(result.value - best) <= 1e-9
+                if mode == "reach":
+                    assert result.goal.issubset(target)
+                else:
+                    assert target.issubset(result.goal)
+    assert total_targets >= 100
+
+
 def test_strict_search_matches_proper_inclusion_enumeration(sparse_sweep):
     searches = 0
     for inst, start, targets, outcomes in sparse_sweep:
         for members in targets:
             target = GoalSet.from_states(members, 3)
             for mode in ("reach", "cover"):
-                if mode == "reach":
-                    values = [v for v, goal in outcomes if goal < members]
-                else:
-                    values = [v for v, goal in outcomes if members < goal]
+                best = _best(outcomes, members, mode, strict=True)
                 result = gds_search(inst, GdsConfig(
                     start=start, target=target, mode=mode, strict_subset=True
                 ))
                 searches += 1
-                assert result.found == bool(values)
-                if values:
-                    assert abs(result.value - max(values)) <= 1e-9
+                assert result.found == (best is not None)
+                if best is not None:
+                    assert abs(result.value - best) <= 1e-9
     assert searches >= 600
 
 
