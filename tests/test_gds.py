@@ -454,3 +454,38 @@ def test_search_output_is_bit_identical_to_pinned_hash():
                 searches += 1
     assert searches == 262
     assert h.hexdigest() == PINNED_SEARCH_SHA256
+
+
+PINNED_FOUND_SHA256 = "253ec5fd3dd3d7e96c61bc9e05af0c0eb2aeec9fdf76a3e5e151d01c7f37100a"
+
+
+def test_found_searches_are_bit_identical_to_pinned_hash():
+    """Hash the answer of every pinned search, and the counters and full
+    trace of each one that finds a policy.
+
+    Unlike the hash above, searches that find nothing contribute only their
+    answer, so this pin holds for any change that proves a target
+    unreachable without popping but leaves feasible searches alone.
+    """
+    h = hashlib.sha256()
+    searches = found = 0
+    for inst, start, target, modes in _pin_searches():
+        for mode in modes:
+            for strict in (False, True):
+                r = gds_search(inst, GdsConfig(
+                    start=start, target=target, mode=mode,
+                    strict_subset=strict, trace=True,
+                ))
+                record = [
+                    r.found,
+                    r.policy.encoding() if r.found else None,
+                    r.value.hex() if r.found else None,
+                    r.goal.mask if r.found else None,
+                ]
+                if r.found:
+                    record += [r.nodes_popped, r.nodes_pruned, list(r.trace)]
+                    found += 1
+                h.update(json.dumps(_canonical(record)).encode() + b"\n")
+                searches += 1
+    assert searches == 262 and found == 136
+    assert h.hexdigest() == PINNED_FOUND_SHA256
