@@ -88,18 +88,74 @@ def includes(inner: int, outer: int, strict: bool = False) -> bool:
     return not inner & ~outer and not (strict and inner == outer)
 
 
+def _state_bits(num_states: int) -> np.ndarray:
+    return np.left_shift(np.uint64(1), np.arange(num_states, dtype=np.uint64))
+
+
 def support_masks(dists: np.ndarray) -> np.ndarray:
     """Bitmask (uint64) of the states carrying mass above
     SUPPORT_THRESHOLD, for each distribution along the last axis."""
     dists = np.asarray(dists)
-    bits = np.left_shift(np.uint64(1), np.arange(dists.shape[-1], dtype=np.uint64))
-    return (dists > SUPPORT_THRESHOLD) @ bits
+    return (dists > SUPPORT_THRESHOLD) @ _state_bits(dists.shape[-1])
 
 
 def support_of(dist: np.ndarray) -> GoalSet:
     """States carrying probability mass above SUPPORT_THRESHOLD."""
     dist = np.asarray(dist)
     return GoalSet(int(support_masks(dist)), dist.shape[0])
+
+
+def target_unreachable(
+    instance: DmdpInstance,
+    start: int,
+    target: GoalSet,
+    mode: str = "reach",
+    strict: bool = False,
+) -> bool:
+    """Whether the kernel's structure proves that no policy of length
+    1..horizon from start has a goal set inside target (reach) or around
+    it (cover), properly so when strict.  False gives no verdict.
+
+    Goal sets do not depend on value, and a decision rule picks one action
+    per state, so with supp P[s, a] the structural support (entries > 0):
+
+    reach: the states from which some policy ends inside G_0 = target
+      after exactly k steps are G_k = {s : some supp P[s, a] lies inside
+      G_{k-1}}.  A goal set is a proper subset of the target iff it lies
+      inside the target less one of its members, so strict reach runs that
+      test once per member.  Goal sets threshold mass at
+      SUPPORT_THRESHOLD, which can only drop states, so the test is exact
+      only when every state a policy can reach keeps more than that mass:
+      the guard min(positive P) ** horizon > 2 * SUPPORT_THRESHOLD, whose
+      factor 2 absorbs rounding.  Without it there is no verdict.
+    cover: a goal set after k steps lies inside R_k, the states that some
+      actions reach from start in exactly k steps, so the target must lie
+      inside R_k (properly when strict) for some k.  This is a necessary
+      condition only, and needs no guard: thresholded support always lies
+      inside structural support.
+    """
+    num_states, horizon = instance.num_states, instance.horizon
+    structural = instance.transition > 0
+    states = np.arange(num_states)
+    if mode == "cover":
+        successors, bits = structural.any(axis=1), _state_bits(num_states)
+        reachable = states == start
+        for _ in range(horizon):
+            reachable = reachable @ successors
+            if includes(target.mask, int(reachable @ bits), strict):
+                return False
+        return True
+    if float(instance.transition[structural].min()) ** horizon <= 2 * SUPPORT_THRESHOLD:
+        return False
+    in_target = np.array([s in target for s in range(num_states)])
+    insides = [in_target & (states != t) for t in target.members()] if strict else [in_target]
+    for goals in insides:
+        for _ in range(horizon):
+            # Some action keeps every successor of s inside goals.
+            goals = ~(structural @ ~goals).all(axis=1)
+            if goals[start]:
+                return False
+    return True
 
 
 def concat(

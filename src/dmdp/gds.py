@@ -17,7 +17,9 @@ Value records per (start, goal set) let provably dominated branches be
 pruned: a branch whose value trails a recorded goal-subset (reach) /
 goal-superset (cover) alternative by more than epsilon(t) — the most any
 continuation could still matter — cannot beat that alternative's
-continuations.
+continuations.  Before the first pop, a target that the kernel's structure
+alone proves unreachable (composition.target_unreachable) is answered
+without searching.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Literal
 import numpy as np
 
 from .bellman import _rule_kernel, evaluate_policy
-from .composition import GoalSet, includes, support_masks, support_of
+from .composition import GoalSet, includes, support_masks, support_of, target_unreachable
 from .core import (
     DmdpError,
     DmdpInstance,
@@ -78,7 +80,9 @@ class GdsConfig:
     strict_subset switches the three goal-set inclusions (termination,
     pruning, record updates) from subset-or-equal to proper subset.
     verify re-derives every pushed node's value by exact backward
-    induction and checks the pop order, at significant cost.
+    induction and checks the pop order, at significant cost; it also
+    searches targets proved unreachable at the root, and checks that the
+    drain finds nothing.
     """
 
     start: int
@@ -115,7 +119,9 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     Requires a nonpositive-reward instance (the optimality argument needs
     values to be non-increasing along extensions).  Raises
     NodeBudgetExceeded when the pop count would pass config.node_budget;
-    a drained queue instead returns found=False.
+    a drained queue instead returns found=False.  So does a target that
+    composition.target_unreachable proves unreachable before the first
+    pop: nothing is popped, and the trace is one terminate event.
     """
     report = validate(instance, sign_mode="nonpositive")
     if not report.ok:
@@ -152,10 +158,14 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     events: list[dict] | None = [] if config.trace else None
     root_dist = np.zeros(S)
     root_dist[config.start] = 1.0
+    # A target proved unreachable at the root leaves nothing to search;
+    # verify mode searches anyway and checks the proof against the drain.
+    unreachable = target_unreachable(instance, config.start, config.target, config.mode, strict)
+    skip = unreachable and not config.verify
     # Max-value queue with deterministic ties: shallower first, then
     # lexicographic on the path of rule indices, which is the order of the
     # policies' action vectors.  Paths are distinct, so the order is total.
-    heap = [(-0.0, 0, (), support_of(root_dist).mask, root_dist)]
+    heap = [] if skip else [(-0.0, 0, (), support_of(root_dist).mask, root_dist)]
     # Best known value per goal-set mask from this start, and the set of
     # masks whose records are final because a node carrying them was popped.
     records: dict[int, float] = {}
@@ -243,11 +253,16 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
                 events.append({"event": "record", "goal": members(mask), "value": records[mask]})
 
     # After a break, value, depth, path and mask describe the winning node.
+    if found and unreachable:
+        raise QueueInvariantViolation(
+            f"found policy {policy_of(path).encoding()} for a target proved unreachable"
+        )
     if events is not None:
         events.append(
             {"event": "terminate", "reason": "goal-constraint-met", "depth": depth, "value": value}
             if found
-            else {"event": "terminate", "reason": "queue-exhausted"}
+            else {"event": "terminate",
+                  "reason": "target-unreachable" if skip else "queue-exhausted"}
         )
     return GdsResult(
         found=found,

@@ -181,8 +181,11 @@ def load(path, check: bool = True) -> DmdpInstance:
 
 
 def save(instance: DmdpInstance, path) -> None:
+    # Serialize before opening, so that a value the writer rejects leaves
+    # an existing file as it was and creates no new one.
+    text = dumps_instance(instance)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps_instance(instance))
+        f.write(text)
 
 
 # ---------------------------------------------------------------------------

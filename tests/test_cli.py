@@ -330,7 +330,7 @@ PINNED_RUNS = [
          "--verify", "--trace", "trace.json"],
      "c21f973f5a69ee7292d1be71af4471ff84fced6e1f21e5968d75e37375a54fbf"),
     (2, ["solve-reach", "inst.json", "--start", "0", "--target", "2"],
-     "c59c85581c1f206f203dbfa489a76ae018fecb980d4b9ff2387810ff3e35b761"),
+     "72309a0eadc672df29cd491b2aa758dcec06ef1c9c83b683c5204407bda78157"),
     (0, ["solve-cover", "sparse.json", "--start", "0", "--target", "0", "--strict",
          "--node-budget", "500"],
      "309eb5175ee06ca170f7a7cbd72082cd50cd4199b72bb38f77374e6350d089fb"),

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -11,6 +13,7 @@ from dmdp import (
     GoalSet,
     InstanceValidationError,
     NodeBudgetExceeded,
+    QueueInvariantViolation,
     brute_force_cover,
     brute_force_reach,
     enumerate_policies,
@@ -20,6 +23,8 @@ from dmdp import (
     generate,
     goal_set,
 )
+from dmdp import gds
+from dmdp.composition import target_unreachable
 
 
 def self_loop_instance():
@@ -46,10 +51,11 @@ def absorbing_instance():
 
 
 def pruning_instance():
-    """Reach target {1} is unrealizable (every goal set is {0,1}), so the
-    search must drain its queue — and with a free action next to a costly
-    one, deep costly branches fall behind the recorded best by more than
-    the depth-2 slack epsilon = 1 and get pruned."""
+    """Reach target {1} is unrealizable (every goal set is {0,1}), which
+    the root verdict proves; verify mode drains the queue anyway, and with
+    a free action next to a costly one, deep costly branches fall behind
+    the recorded best by more than the depth-2 slack epsilon = 1 and get
+    pruned."""
     P = np.zeros((2, 2, 2))
     P[0, 0] = P[0, 1] = [0.5, 0.5]
     P[1, 0] = [0.0, 1.0]
@@ -119,11 +125,15 @@ def test_full_target_found_at_depth_one():
         assert result.found and len(result.policy) == 1
 
 
-def test_unreachable_reach_target_drains_queue():
+def test_unreachable_reach_target_is_proved_without_popping():
     inst = pruning_instance()
-    result = gds_search(inst, GdsConfig(start=0, target=GoalSet.from_states([1], 2)))
+    result = gds_search(
+        inst, GdsConfig(start=0, target=GoalSet.from_states([1], 2), trace=True, node_budget=1)
+    )
     assert not result.found
     assert result.policy is None and result.value is None and result.goal is None
+    assert result.nodes_popped == 0 and result.nodes_pruned == 0
+    assert result.trace == ({"event": "terminate", "reason": "target-unreachable"},)
     assert brute_force_reach(inst, 0, GoalSet.from_states([1], 2), 3) is None
 
 
@@ -235,6 +245,10 @@ def sparse_sweep():
     return cases
 
 
+# Every nonempty subset of three states.
+EVERY_TARGET = [frozenset(c) for n in (1, 2, 3) for c in itertools.combinations(range(3), n)]
+
+
 def _best(outcomes, members, mode, strict=False):
     """The best value among outcomes whose goal meets the target, or None."""
     values = []
@@ -290,9 +304,65 @@ def test_strict_search_matches_proper_inclusion_enumeration(sparse_sweep):
     assert searches >= 600
 
 
+def test_root_verdict_agrees_with_enumeration(sparse_sweep):
+    # A verdict must be right; for reach it must also be given on every
+    # infeasible query.  Cover only uses a necessary condition.
+    verdicts = {}
+    for inst, start, _, outcomes in sparse_sweep:
+        for members in EVERY_TARGET:
+            target = GoalSet.from_states(members, 3)
+            for mode in ("reach", "cover"):
+                for strict in (False, True):
+                    proved = target_unreachable(inst, start, target, mode, strict)
+                    infeasible = _best(outcomes, members, mode, strict) is None
+                    if proved:
+                        assert infeasible
+                    elif mode == "reach":
+                        assert not infeasible
+                    verdicts[mode, strict] = verdicts.get((mode, strict), 0) + proved
+    assert all(verdicts[key] > 0 for key in itertools.product(("reach", "cover"), (False, True)))
+
+
+def test_root_verdict_defers_to_the_support_threshold():
+    # Structurally state 0 always leads to state 1 too, but with mass
+    # 1e-13, below SUPPORT_THRESHOLD, so the goal set of one step is {0}.
+    P = np.zeros((2, 2, 2))
+    P[0, :] = [1 - 1e-13, 1e-13]
+    P[1, :] = [0.0, 1.0]
+    inst = DmdpInstance(
+        num_states=2, num_actions=2, horizon=2, gamma=0.5, r_max=1.0,
+        transition=P, reward=np.full((2, 2, 2), -0.5), sign_mode="nonpositive",
+    )
+    target = GoalSet.from_states([0], 2)
+    assert not target_unreachable(inst, 0, target)
+    result = gds_search(inst, GdsConfig(start=0, target=target))
+    assert result.found and len(result.policy) == 1 and result.goal == target
+
+
+def test_verify_mode_drains_and_checks_the_root_verdict(monkeypatch):
+    inst = pruning_instance()
+    unreachable = GdsConfig(start=0, target=GoalSet.from_states([1], 2), verify=True)
+    drained = gds_search(inst, unreachable)
+    assert not drained.found and drained.nodes_popped > 1
+    # A verdict that wrongly rules out a feasible target is caught.
+    monkeypatch.setattr(gds, "target_unreachable", lambda *args: True)
+    feasible = GdsConfig(start=0, target=GoalSet.full(2))
+    assert not gds_search(inst, feasible).found
+    with pytest.raises(QueueInvariantViolation, match="proved unreachable"):
+        gds_search(inst, dataclasses.replace(feasible, verify=True))
+
+
 def test_every_prune_is_justified_by_set_semantics(sparse_sweep):
+    # On the sweep every prune comes from an infeasible search, which the
+    # root verdict now answers without popping.  Four-epoch instances with
+    # gamma 0.1 add feasible searches on which pruning fires: seeds 0-9 in
+    # reach and non-strict cover, seed 30 from start 2 in strict cover.
+    cases = [(inst, start, targets) for inst, start, targets, _ in sparse_sweep]
+    cases += [(sparse_instance(seed, 3, 2, 4, 0.1), start, EVERY_TARGET)
+              for seed in range(10) for start in range(3)]
+    cases.append((sparse_instance(30, 3, 2, 4, 0.1), 2, EVERY_TARGET))
     prunes = {}
-    for inst, start, targets, _ in sparse_sweep:
+    for inst, start, targets in cases:
         for members in targets:
             target = GoalSet.from_states(members, 3)
             for mode in ("reach", "cover"):
@@ -310,9 +380,9 @@ def test_every_prune_is_justified_by_set_semantics(sparse_sweep):
                         assert inner < outer if strict else inner <= outer
                         assert e["value"] <= e["record_value"] - e["epsilon"]
                         assert e["epsilon"] == epsilon(inst, e["depth"])
-    # Non-strict cover never prunes on this sweep, so it is not asserted.
     assert prunes["reach", False] > 0
     assert prunes["reach", True] > 0
+    assert prunes["cover", False] > 0
     assert prunes["cover", True] > 0
 
 
@@ -349,9 +419,8 @@ def test_strict_subset_changes_termination():
 
 def test_node_budget_exhaustion_raises():
     inst = pruning_instance()
-    config = GdsConfig(
-        start=0, target=GoalSet.from_states([1], 2), node_budget=1
-    )
+    # Met at depth one, so the second pop, a child, passes the budget.
+    config = GdsConfig(start=0, target=GoalSet.full(2), node_budget=1)
     with pytest.raises(NodeBudgetExceeded) as exc:
         gds_search(inst, config)
     assert exc.value.budget == 1
@@ -420,17 +489,20 @@ def _pin_searches():
     yield sparse_instance(0, 4, 2, 4, 0.3), 0, GoalSet.from_states([0], 4), ("reach",)
 
 
-PINNED_SEARCH_SHA256 = "b6c7453b53fa6b8d36708919962aa405a559cb7f52f3e30b65e8a33481820f80"
+PINNED_SEARCH_SHA256 = "3d66c5cee72c89e48410d298fdf2754138f2aa3f27e34af73276704c42a43b3b"
 
 
 def test_search_output_is_bit_identical_to_pinned_hash():
     """Hash every search's answer, counters and full trace, floats as hex.
 
-    The digest was recorded with the one-rule-at-a-time search that the
-    batched expansion replaced.  Like the benchmark's golden answers, it is
-    tied to the rounding of the numpy/BLAS dot products it was recorded
-    with (numpy 2.4 with OpenBLAS on x86_64): another BLAS may change the
-    last bit of a value without anything being wrong.
+    The digest was first recorded with the one-rule-at-a-time search that
+    the batched expansion replaced, and recorded again when the 126
+    infeasible searches here began to be proved at the root (counters 0, a
+    one-event trace); the found-search pin below held across that change.
+    Like the benchmark's golden answers, it is tied to the rounding of the
+    numpy/BLAS dot products it was recorded with (numpy 2.4 with OpenBLAS
+    on x86_64): another BLAS may change the last bit of a value without
+    anything being wrong.
     """
     h = hashlib.sha256()
     searches = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -53,6 +54,23 @@ def test_non_finite_floats_are_rejected():
         dumps_json(float("nan"))
     with pytest.raises(ValueError):
         dumps_json(float("inf"))
+
+
+def test_save_that_cannot_serialize_leaves_files_alone(tmp_path):
+    good = generate(2, 3, 2, 2, 0.5)
+    reward = good.reward.copy()
+    reward[0, 0, 0] = float("nan")
+    bad = dataclasses.replace(good, reward=reward)
+    existing = tmp_path / "existing.json"
+    save(good, existing)
+    before = existing.read_bytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        save(bad, existing)
+    assert existing.read_bytes() == before
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        save(bad, fresh)
+    assert not fresh.exists()
 
 
 def test_gamma_of_one_fails_load(tmp_path):
