@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -191,4 +193,65 @@ def test_validate_order_on_finite_input():
         ("reward_bound", (0, 1, 1), 2.0),
         ("reward_sign", (0, 1, 1), 2.0),
         ("reward_bound", (1, 0, 0), -3.0),
+    )
+
+
+def _broken_instances():
+    """Seeded instances that break every rule validate knows, often at once:
+    NaN and +-inf in gamma, r_max, transition and reward; out-of-range
+    entries; rows whose sum is off, infinite or NaN; reward bound and
+    sign breaches.  Some have more than 128 states, so row totals go past
+    one block of numpy's pairwise summation."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        S = int(rng.integers(130, 150)) if seed % 10 == 9 else int(rng.integers(1, 13))
+        A = int(rng.integers(1, 4))
+        T = int(rng.integers(1, 5))
+        P = rng.random((S, A, S)) + 0.01
+        P /= P.sum(axis=2, keepdims=True)
+        R = -rng.random((T, S, A))
+        if seed % 7 == 3:
+            # A clean instance now and then, so ok=True is pinned too.
+            yield DmdpInstance(
+                num_states=S, num_actions=A, horizon=T, gamma=0.5, r_max=1.0,
+                transition=P, reward=R,
+            )
+            continue
+        for _ in range(int(rng.integers(0, 2 * S + 2))):
+            index = (int(rng.integers(S)), int(rng.integers(A)), int(rng.integers(S)))
+            P[index] = rng.choice([np.nan, np.inf, -np.inf, 1.5, -0.25, 2.0, 0.0, 1.0])
+        for _ in range(int(rng.integers(0, S * A + 1))):
+            P[int(rng.integers(S)), int(rng.integers(A)), int(rng.integers(S))] += 1e-6
+        for _ in range(int(rng.integers(0, T * S * A + 2))):
+            index = (int(rng.integers(T)), int(rng.integers(S)), int(rng.integers(A)))
+            R[index] = rng.choice([np.nan, np.inf, -np.inf, 0.25, 3.0, -3.0, -0.0, 1.0])
+        gamma = float(rng.choice([0.5, 0.0, np.nan, np.inf, -np.inf, 1.0, -0.1]))
+        r_max = float(rng.choice([1.0, 1.0, 0.5, np.nan, np.inf, -1.0, 0.0]))
+        yield DmdpInstance(
+            num_states=S, num_actions=A, horizon=T, gamma=gamma, r_max=r_max,
+            transition=P, reward=R,
+        )
+
+
+def test_validate_violations_on_broken_input_are_pinned():
+    # The hash was recorded with the per-cell loop implementation of
+    # validate: rules, locations, order and the bits of every value.
+    lines = []
+    for inst in _broken_instances():
+        for sign_mode in ("any", "nonpositive"):
+            report = validate(inst, sign_mode=sign_mode)
+            assert report.ok == (not report.violations)
+            lines.append(f"ok={report.ok}")
+            for rule, location, value in report.violations:
+                assert type(value) is float
+                assert all(type(i) is int for i in location)
+                lines.append(f"{rule} {location} {value.hex()}")
+    rules = {line.split()[0] for line in lines}
+    assert rules >= {
+        "non_finite", "gamma_range", "r_max_nonnegative", "transition_range",
+        "stochasticity", "reward_bound", "reward_sign", "ok=True", "ok=False",
+    }
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "dd21f7fdb9d22f039196577398196e131af22603451e4a97b12113b37fefe4cf"
     )
