@@ -198,7 +198,7 @@ def _cmd_gen(args):
     instance = _checked(
         generate(args.seed, args.states, args.actions, args.horizon, args.gamma)
     )
-    save(instance, args.out)
+    instance_digest = save(instance, args.out)
     config = {
         "seed": args.seed,
         "states": args.states,
@@ -207,7 +207,6 @@ def _cmd_gen(args):
         "gamma": args.gamma,
         "out": args.out,
     }
-    instance_digest = digest(instance)
     return instance_digest, config, {"path": args.out, "digest": instance_digest}, 0
 
 

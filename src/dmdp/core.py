@@ -188,32 +188,48 @@ def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> Valid
     elif instance.r_max < 0.0:
         violations.append(("r_max_nonnegative", (), instance.r_max))
 
+    # Each rule is one mask; violations come out of np.flatnonzero over
+    # masks stacked along a last axis, so C order reproduces the per-cell
+    # order: a row's entries, then its stochasticity; a reward cell's
+    # non_finite alone, else its bound, then its sign.
+    S, A = instance.num_states, instance.num_actions
     P = instance.transition
-    for s in range(instance.num_states):
-        for a in range(instance.num_actions):
-            row = P[s, a]
-            for sp in range(instance.num_states):
-                p = row[sp]
-                if not math.isfinite(p):
-                    violations.append(("non_finite", (s, a, sp), float(p)))
-                elif p < 0.0 or p > 1.0:
-                    violations.append(("transition_range", (s, a, sp), float(p)))
-            total = float(row.sum())
-            if abs(total - 1.0) > STOCHASTIC_TOL:
-                violations.append(("stochasticity", (s, a), total))
+    with np.errstate(invalid="ignore"):
+        totals = P.sum(axis=2)
+    finite = np.isfinite(P)
+    checks = np.concatenate(
+        [
+            ~finite | (P < 0.0) | (P > 1.0),
+            (np.abs(totals - 1.0) > STOCHASTIC_TOL)[:, :, None],
+        ],
+        axis=2,
+    )
+    for i in np.flatnonzero(checks).tolist():
+        s, rest = divmod(i, A * (S + 1))
+        a, sp = divmod(rest, S + 1)
+        if sp == S:
+            violations.append(("stochasticity", (s, a), float(totals[s, a])))
+        else:
+            p = float(P[s, a, sp])
+            rule = "transition_range" if finite[s, a, sp] else "non_finite"
+            violations.append((rule, (s, a, sp), p))
 
     R = instance.reward
-    for t in range(instance.horizon):
-        for s in range(instance.num_states):
-            for a in range(instance.num_actions):
-                r = float(R[t, s, a])
-                if not math.isfinite(r):
-                    violations.append(("non_finite", (t, s, a), r))
-                    continue
-                if abs(r) > instance.r_max:
-                    violations.append(("reward_bound", (t, s, a), r))
-                if sign_mode == "nonpositive" and r > 0.0:
-                    violations.append(("reward_sign", (t, s, a), r))
+    finite = np.isfinite(R)
+    rules = ("non_finite", "reward_bound", "reward_sign")
+    checks = np.stack(
+        [
+            ~finite,
+            finite & (np.abs(R) > instance.r_max),
+            finite & (sign_mode == "nonpositive") & (R > 0.0),
+        ],
+        axis=3,
+    )
+    for i in np.flatnonzero(checks).tolist():
+        cell, rule = divmod(i, 3)
+        t, rest = divmod(cell, S * A)
+        s, a = divmod(rest, A)
+        violations.append((rules[rule], (t, s, a), float(R[t, s, a])))
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
 

@@ -4,7 +4,10 @@ Files are JSON with a fixed key set (format_version 1).  Writing goes
 through a small deterministic serializer that renders every float with 17
 significant digits (enough to reproduce any double exactly on reload), so
 identical instances always produce identical bytes — which is also what
-makes content digests and golden-report comparisons meaningful.
+makes content digests and golden-report comparisons meaningful.  float64
+arrays are written row by row, one format call per innermost row, with
+the bytes their nested lists would give.  save() returns the sha256 of the
+bytes it wrote, which is digest() of the instance.
 
 The generator uses a self-contained xorshift64* PRNG seeded per (kind,
 state, action) stream through a splitmix64-style mixer, so instances are
@@ -58,6 +61,16 @@ def _format_float(x: float) -> str:
     return s if "." in s or "e" in s else s + ".0"
 
 
+def _wrap(items: list[str], pad: str, brackets: str) -> str:
+    """items as one container, one item per line, whose lines are indented
+    by pad."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    sep = ",\n" + inner
+    return brackets[0] + "\n" + inner + sep.join(items) + "\n" + pad + brackets[1]
+
+
 def _text(value: Any, pad: str) -> str:
     """The JSON text of value, whose container lines are indented by pad."""
     if isinstance(value, (float, np.floating)):
@@ -71,7 +84,31 @@ def _text(value: Any, pad: str) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
-        return _text(value.tolist(), pad)
+        if value.dtype != np.float64 or value.ndim == 0 or value.size == 0:
+            return _text(value.tolist(), pad)
+        # Row by row, with the bytes of the list path: one "%" call per
+        # leaf row, with "%.1f" where ".17g" would print an integer (an
+        # integral entry below 1e17 in magnitude).  tolist() runs per row,
+        # so no whole-array list of Python floats is ever held.
+        finite = np.isfinite(value)
+        if not finite.all():
+            _format_float(float(value[~finite][0]))  # raises for it
+        rows = value.reshape(-1, value.shape[-1])
+        integral = (rows == np.floor(rows)) & (np.abs(rows) < 1e17)
+        leaf = pad + "  " * (value.ndim - 1)
+        plain = _wrap(["%.17g"] * rows.shape[1], leaf, "[]")
+        texts = []
+        for row, ints, mixed in zip(rows, integral, integral.any(axis=1).tolist()):
+            template = plain
+            if mixed:
+                specs = ["%.1f" if i else "%.17g" for i in ints.tolist()]
+                template = _wrap(specs, leaf, "[]")
+            texts.append(template % tuple(row.tolist()))
+        for depth in reversed(range(value.ndim - 1)):
+            n = value.shape[depth]
+            outer = pad + "  " * depth
+            texts = [_wrap(texts[i : i + n], outer, "[]") for i in range(0, len(texts), n)]
+        return texts[0]
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         brackets = "[]"
@@ -84,10 +121,7 @@ def _text(value: Any, pad: str) -> str:
         items = [json.dumps(key) + ": " + _text(item, inner) for key, item in value.items()]
     else:
         raise ValueError(f"cannot serialize {type(value).__name__}")
-    if not items:
-        return brackets
-    sep = ",\n" + inner
-    return brackets[0] + "\n" + inner + sep.join(items) + "\n" + pad + brackets[1]
+    return _wrap(items, pad, brackets)
 
 
 def dumps_json(value: Any) -> str:
@@ -122,9 +156,21 @@ def dumps_instance(instance: DmdpInstance) -> str:
     return dumps_json(instance_document(instance)) + "\n"
 
 
+def _document_bytes(instance: DmdpInstance) -> bytes:
+    """The UTF-8 bytes of the canonical text, without its final newline."""
+    return dumps_json(instance_document(instance)).encode("utf-8")
+
+
+def _file_digest(document: bytes) -> str:
+    """sha256 hex digest of document followed by the final newline."""
+    h = hashlib.sha256(document)
+    h.update(b"\n")
+    return h.hexdigest()
+
+
 def digest(instance: DmdpInstance) -> str:
     """sha256 hex digest of the canonical serialization."""
-    return hashlib.sha256(dumps_instance(instance).encode("utf-8")).hexdigest()
+    return _file_digest(_document_bytes(instance))
 
 
 def parse_instance(text: str, check: bool = True) -> DmdpInstance:
@@ -180,12 +226,16 @@ def load(path, check: bool = True) -> DmdpInstance:
         return parse_instance(f.read(), check=check)
 
 
-def save(instance: DmdpInstance, path) -> None:
+def save(instance: DmdpInstance, path) -> str:
+    """Write the canonical file and return the sha256 of the bytes written,
+    which is digest(instance)."""
     # Serialize before opening, so that a value the writer rejects leaves
     # an existing file as it was and creates no new one.
-    text = dumps_instance(instance)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+    document = _document_bytes(instance)
+    with open(path, "wb") as f:
+        f.write(document)
+        f.write(b"\n")
+    return _file_digest(document)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,34 @@ def test_gen_is_reproducible_and_validates(tmp_path):
     assert run_cli("validate", out1).returncode == 0
 
 
+def test_gen_serializes_once_and_reports_the_digest_of_its_bytes(
+    tmp_path, monkeypatch, capsys
+):
+    from dmdp import cli, storage
+
+    calls = []
+    dumps = storage.dumps_json
+
+    def counted(value):
+        calls.append(type(value).__name__)
+        return dumps(value)
+
+    monkeypatch.setattr(storage, "dumps_json", counted)
+    out = tmp_path / "g.json"
+    argv = ["gen", "--seed", "9", "--states", "5", "--actions", "2",
+            "--horizon", "4", "--gamma", "0.25", "-o", str(out)]
+    assert cli.main(argv) == 0
+    assert calls == ["dict"]  # save's; the digest is save's hash of its bytes
+    report = json.loads(capsys.readouterr().out)
+    written = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert report["instance_digest"] == report["result"]["digest"] == written
+    assert written == digest(load(out))
+    for inst in (generate(9, 5, 2, 4, 0.25), make_static_gap_instance(), sparse_instance(1)):
+        path = tmp_path / "again.json"
+        assert save(inst, path) == digest(inst)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest(inst)
+
+
 def test_validate_reports_violations_and_exits_1(tmp_path):
     path = str(tmp_path / "gap.json")
     save(make_static_gap_instance(), path)

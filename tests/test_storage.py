@@ -249,3 +249,63 @@ def test_dumps_json_text_of_every_accepted_type_is_pinned():
 def test_dumps_json_rejects_what_it_cannot_spell(value):
     with pytest.raises(ValueError):
         dumps_json(value)
+
+
+# ---------------------------------------------------------------------------
+# float64 arrays are written row by row; the bytes are those of their lists
+
+
+AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e17, -1e17,
+           123456789012345678.0, 99999999999999984.0, 2.0**53 + 2.0, 0.1,
+           1.0 / 3.0, -2.0, 7.0, 1e-7, 1e300, -2.5, 2.0**-1074 * 3]
+
+
+def _awkward_arrays():
+    rng = np.random.default_rng(5)
+    mixed = rng.standard_normal((3, 4, 5)) * 10.0 ** rng.integers(-20, 20, (3, 4, 5))
+    mixed[rng.random((3, 4, 5)) < 0.3] = 0.0
+    mixed[1, 2] = np.round(mixed[1, 2])
+    mixed[2, 0] = rng.choice(AWKWARD, 5)
+    reward = generate(4, 5, 3, 4, 0.5).reward
+    return {
+        "0-d": np.array(-0.0),
+        "0-d-fraction": np.array(0.1),
+        "1-D": np.array(AWKWARD),
+        "2-D": np.array(AWKWARD[:18]).reshape(3, 6),
+        "3-D mixed rows": mixed,
+        "4-D": rng.choice(AWKWARD, (2, 3, 2, 4)),
+        "single": np.array([[[1.0]]]),
+        "(0,)": np.zeros((0,)),
+        "(2, 0)": np.zeros((2, 0)),
+        "(0, 3)": np.zeros((0, 3)),
+        "(2, 0, 3)": np.zeros((2, 0, 3)),
+        "(3, 2, 0)": np.zeros((3, 2, 0)),
+        "reward[:, ::-1]": reward[:, ::-1],
+        "reward.T": reward.T,
+        "mixed[::2, 1:, ::-3]": mixed[::2, 1:, ::-3],
+        "integers": np.arange(-12.0, 12.0).reshape(2, 3, 4),
+    }
+
+
+@pytest.mark.parametrize("name", list(_awkward_arrays()))
+def test_float_arrays_are_written_as_their_lists(name):
+    arr = _awkward_arrays()[name]
+    assert arr.dtype == np.float64
+    assert dumps_json(arr) == dumps_json(arr.tolist())
+    assert dumps_json({"a": [arr]}) == dumps_json({"a": [arr.tolist()]})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entry_of_an_array_is_rejected_as_in_a_list(bad):
+    arr = np.array(AWKWARD[:16]).reshape(2, 2, 4)
+    for index in [(0, 0, 0), (1, 1, 3), (1, 0, 2)]:
+        broken = arr.copy()
+        broken[index] = bad
+        broken[1, 1, 1] = -bad  # later in C order of broken, not of its .T
+        for view in (broken, broken.T, broken[:, ::-1]):
+            with pytest.raises(ValueError) as from_list:
+                dumps_json(view.tolist())
+            with pytest.raises(ValueError) as from_array:
+                dumps_json(view)
+            assert str(from_array.value) == str(from_list.value)
+            assert str(from_array.value).startswith("cannot serialize non-finite float")
