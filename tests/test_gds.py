@@ -493,6 +493,60 @@ def _pin_searches():
     yield sparse_instance(0, 4, 2, 4, 0.3), 0, GoalSet.from_states([0], 4), ("reach",)
 
 
+def _answer(r):
+    """A search's answer alone: what a node-count change must not move."""
+    return [
+        r.found,
+        r.policy.encoding() if r.found else None,
+        r.value.hex() if r.found else None,
+        r.goal.mask if r.found else None,
+    ]
+
+
+def _answers_digest(searches):
+    """sha256 over the answers of (instance, start, target, modes), in
+    both modes given and with strict inclusion off and on; and the count."""
+    h = hashlib.sha256()
+    count = 0
+    for inst, start, target, modes in searches:
+        for mode in modes:
+            for strict in (False, True):
+                r = gds_search(inst, GdsConfig(
+                    start=start, target=target, mode=mode, strict_subset=strict,
+                ))
+                h.update(json.dumps(_canonical(_answer(r))).encode() + b"\n")
+                count += 1
+    return h.hexdigest(), count
+
+
+def _sweep_searches():
+    # Shapes with 27 and 16 rules per node, from every start, to every
+    # target of one state and every target of all states but one.
+    for shape in ((3, 3, 3), (4, 2, 4)):
+        S = shape[0]
+        targets = [GoalSet.from_states([s], S) for s in range(S)]
+        targets += [GoalSet.from_states([x for x in range(S) if x != s], S) for s in range(S)]
+        for seed in range(10):
+            inst = sparse_instance(seed, *shape)
+            for start in range(S):
+                for target in targets:
+                    yield inst, start, target, ("reach", "cover")
+
+
+PINNED_ANSWERS_SHA256 = "ef50f7f9b062b059b161778a5b1414dd5cf5679ebc24328d895040c0836d866c"
+PINNED_SWEEP_ANSWERS_SHA256 = "dc6c4f18a676a6f59cf511ebea85daa20ba5ab68fd5ba9b7356c7a0dde5fdddf"
+
+
+def test_pinned_search_answers_are_unchanged():
+    """The answers alone of the 262 pinned searches: found, policy
+    encoding, value bits and goal mask, without counters or trace."""
+    assert _answers_digest(_pin_searches()) == (PINNED_ANSWERS_SHA256, 262)
+
+
+def test_sparse_sweep_answers_are_pinned():
+    assert _answers_digest(_sweep_searches()) == (PINNED_SWEEP_ANSWERS_SHA256, 2000)
+
+
 PINNED_SEARCH_SHA256 = "3d66c5cee72c89e48410d298fdf2754138f2aa3f27e34af73276704c42a43b3b"
 
 
