@@ -9,7 +9,15 @@ its final state distribution)?  Two modes:
   cover: the goal set must contain the target (every target state stays
          possible at the end).
 
-Nodes are policies; a node's children append one decision rule.  Because
+Nodes are policies; a node's children append one decision rule.  Rules
+that differ only on states where the node's distribution has exactly zero
+mass give bit-identical children, so each such class is expanded once,
+through its canonical member: the rule taking action 0 on every
+zero-mass state, the first of its class in rule order.  A node therefore
+has A^|nonzero states| children rather than A^S, and the root has A.
+Exact zero, not the goal-set threshold SUPPORT_THRESHOLD, decides: mass
+below the threshold still moves values.  nodes_popped and nodes_pruned
+count these canonical nodes.  Because
 rewards are nonpositive, extending a policy never raises its value, so a
 max-value priority queue pops candidates in non-increasing value order
 and the first popped node satisfying the goal constraint is optimal.
@@ -17,7 +25,10 @@ Value records per (start, goal set) let provably dominated branches be
 pruned: a branch whose value trails a recorded goal-subset (reach) /
 goal-superset (cover) alternative by more than epsilon(t) — the most any
 continuation could still matter — cannot beat that alternative's
-continuations.  Before the first pop, a target that the kernel's structure
+continuations.  The skipped twins would only ever pop after their
+canonical member (same value and depth, larger rule index), so the
+returned policy, value and tie-breaks are those of the uncollapsed search.
+Before the first pop, a target that the kernel's structure
 alone proves unreachable (composition.target_unreachable) is answered
 without searching.
 """
@@ -61,6 +72,18 @@ class QueueInvariantViolation(DmdpError):
     """Verify mode found a node value disagreeing with exact evaluation."""
 
 
+def _nonzero(dist: np.ndarray) -> np.ndarray:
+    """The states where dist has any mass at all.  Rules that agree on them
+    give bit-identical children: validate's non_finite rule keeps every
+    entry of P and R finite, so the others contribute 0*P and 0*R, which
+    are exact zeros."""
+    return dist != 0.0
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.tobytes() == b.tobytes()
+
+
 def epsilon(instance: DmdpInstance, t: int) -> float:
     """Pruning slack at depth t.
 
@@ -82,7 +105,9 @@ class GdsConfig:
     verify re-derives every pushed node's value by exact backward
     induction and checks the pop order, at significant cost; it also
     searches targets proved unreachable at the root, and checks that the
-    drain finds nothing.
+    drain finds nothing.  It also checks at every expansion that exactly
+    one rule per class is expanded, and that every skipped rule's child
+    is bit-equal to its class's.
     """
 
     start: int
@@ -141,6 +166,12 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     # order than a contiguous one, so a contiguous copy changes the last
     # bit of some values (the pinned-hash test in test_gds.py shows it).
     rewards = instance.reward[:, np.arange(S), actions]
+    # Canonical rule indices per set of nonzero states, filled on first
+    # use: the rules that move off action 0 only on those states.
+    moved = actions != 0
+    canonical: dict[bytes, np.ndarray] = {}
+    # Rule index of an action vector: rules are in lexicographic order.
+    place = instance.num_actions ** np.arange(S - 1, -1, -1)
 
     def tighter(a: int, b: int) -> bool:
         # Goal set a is at least as tight a constraint as b: inside b for
@@ -221,14 +252,35 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
                     raise QueueInvariantViolation(f"unjustified prune at depth {depth}")
             continue
 
-        # Expand every rule at once: the children's distributions, values
-        # and goal sets, in rule order.
-        child_dists = dist @ kernels
-        child_values = (value + instance.gamma**depth * np.vecdot(rewards[depth], dist)).tolist()
+        # Expand one rule per class at once: the children's distributions,
+        # values and goal sets, in rule order.  Index the results of every
+        # rule, not kernels or rewards, so each child keeps the bits of the
+        # full product.
+        on = _nonzero(dist)
+        idx = canonical.get(on.tobytes())
+        if idx is None:
+            idx = canonical[on.tobytes()] = np.flatnonzero(~moved[:, ~on].any(axis=1))
+        every_dist = dist @ kernels
+        every_value = value + instance.gamma**depth * np.vecdot(rewards[depth], dist)
+        if config.verify:
+            # Re-derive the classes: each rule's representative sets its
+            # actions on zero-mass states to 0.
+            reps = (actions * (dist != 0.0)) @ place
+            if not (np.array_equal(np.unique(reps), idx)
+                    and _same_bits(every_dist, every_dist[reps])
+                    and _same_bits(every_value, every_value[reps])):
+                raise QueueInvariantViolation(
+                    f"expanded rules {idx.tolist()} are not one per class of rules "
+                    f"with bit-equal children at depth {depth}"
+                )
+        child_dists = every_dist[idx]
+        child_values = every_value[idx].tolist()
         child_masks = support_masks(child_dists).tolist()
-        for ri, (child_value, child_mask) in enumerate(zip(child_values, child_masks)):
+        for ri, child_value, child_mask, child_dist in zip(
+            idx.tolist(), child_values, child_masks, child_dists
+        ):
             child_path = path + (ri,)
-            heapq.heappush(heap, (-child_value, depth + 1, child_path, child_mask, child_dists[ri]))
+            heapq.heappush(heap, (-child_value, depth + 1, child_path, child_mask, child_dist))
             if events is not None:
                 events.append({"event": "push", "depth": depth + 1, "value": child_value,
                                "goal": members(child_mask), "rule": rules[ri].actions})

@@ -356,12 +356,12 @@ PINNED_RUNS = [
      "36cfff83ef801655ba3b6491be3b20ee4cc584b902ef16541257efe6210cc496"),
     (0, ["solve-reach", "sparse.json", "--start", "0", "--target", "2",
          "--verify", "--trace", "trace.json"],
-     "c21f973f5a69ee7292d1be71af4471ff84fced6e1f21e5968d75e37375a54fbf"),
+     "159eb55bc6de26ae699dd622ac8115de702088feb9c51936839380539b3a6ae0"),
     (2, ["solve-reach", "inst.json", "--start", "0", "--target", "2"],
      "72309a0eadc672df29cd491b2aa758dcec06ef1c9c83b683c5204407bda78157"),
     (0, ["solve-cover", "sparse.json", "--start", "0", "--target", "0", "--strict",
          "--node-budget", "500"],
-     "309eb5175ee06ca170f7a7cbd72082cd50cd4199b72bb38f77374e6350d089fb"),
+     "3f6d0d6dad64227e6c164f747d6c08d7a35ab985e84ffbd0e95f2fc3ad97ff47"),
     (0, ["brute-check", "sparse.json", "--start", "0", "--target", "2"],
      "da455835a79c5da976db0eed4639b7feed04b4f88e2e6c3880acdfc3cf3edb97"),
     (0, ["brute-check", "inst.json", "--start", "0", "--target", "2", "--mode", "cover",
@@ -375,7 +375,7 @@ PINNED_RUNS = [
 ]
 
 PINNED_FILES = {
-    "trace.json": "983aed3a897055539a149bcc2dd52fec8a93ff7f7da50131efc78fbb85dcd6cf",
+    "trace.json": "272cfd609f01c376e128198347cb9b6765a0b494a400a72028221c35bd355ebd",
     "made.json": "a07662427284037a6d377c84da7df9c3bbf8fa303f9c8ac227aceaec6588c6af",
 }
 

@@ -24,7 +24,7 @@ from dmdp import (
     goal_set,
 )
 from dmdp import gds
-from dmdp.composition import target_unreachable
+from dmdp.composition import SUPPORT_THRESHOLD, target_unreachable
 
 
 def self_loop_instance():
@@ -343,6 +343,66 @@ def test_root_verdict_defers_to_the_support_threshold():
     assert result.found and len(result.policy) == 1 and result.goal == target
 
 
+def tiny_mass_instance():
+    """From state 0 every action puts mass 1e-13 on state 1, below
+    SUPPORT_THRESHOLD but not zero, and the rest on state 2; the next step
+    sends everything to state 3.  State 1's action 1 is free where action
+    0 costs 1, so the best two-step policy takes action 1 on state 1 at
+    epoch 1."""
+    P = np.zeros((4, 2, 4))
+    P[0, :] = [0.0, 1e-13, 1 - 1e-13, 0.0]
+    P[1:, :, 3] = 1.0
+    reward = np.full((2, 4, 2), -0.5)
+    reward[:, :, 1] = -0.6
+    reward[:, 1] = [-1.0, 0.0]
+    return DmdpInstance(
+        num_states=4, num_actions=2, horizon=2, gamma=0.5, r_max=1.0,
+        transition=P, reward=reward, sign_mode="nonpositive",
+    )
+
+
+def test_rules_are_collapsed_on_exact_zeros_not_below_the_threshold():
+    inst = tiny_mass_instance()
+    target = GoalSet.from_states([3], 4)
+    for mode, brute in (("reach", brute_force_reach), ("cover", brute_force_cover)):
+        result = gds_search(inst, GdsConfig(start=0, target=target, mode=mode, verify=True))
+        expected = brute(inst, 0, target, inst.horizon)
+        assert result.found and result.policy == expected.policy
+        assert result.value == expected.value
+        assert result.goal == expected.goal == target
+        assert result.policy.encoding() == ((0, 0, 0, 0), (0, 1, 0, 0))
+
+
+def test_root_expands_one_rule_per_action_at_the_start():
+    inst = sparse_instance(3, 3, 3, 3)
+    for start in range(3):
+        result = gds_search(inst, GdsConfig(
+            start=start, target=GoalSet.full(3), trace=True
+        ))
+        assert result.trace[0]["event"] == "pop" and result.trace[0]["depth"] == 0
+        root = []
+        for event in result.trace[1:]:
+            if event["event"] == "pop":
+                break
+            if event["event"] == "push":
+                root.append(event["rule"])
+        assert [rule[start] for rule in root] == [0, 1, 2]
+        assert all(a == 0 for rule in root for s, a in enumerate(rule) if s != start)
+
+
+def test_verify_mode_catches_a_collapse_on_the_support_threshold(monkeypatch):
+    # Selecting rules by the support threshold instead of exact zero would
+    # skip state 1's free action at epoch 1 and return a worse policy.
+    inst = tiny_mass_instance()
+    target = GoalSet.from_states([3], 4)
+    best = brute_force_reach(inst, 0, target, inst.horizon)
+    monkeypatch.setattr(gds, "_nonzero", lambda dist: dist > SUPPORT_THRESHOLD)
+    mutated = gds_search(inst, GdsConfig(start=0, target=target))
+    assert mutated.found and mutated.value < best.value
+    with pytest.raises(QueueInvariantViolation, match="one per class"):
+        gds_search(inst, GdsConfig(start=0, target=target, verify=True))
+
+
 def test_verify_mode_drains_and_checks_the_root_verdict(monkeypatch):
     inst = pruning_instance()
     unreachable = GdsConfig(start=0, target=GoalSet.from_states([1], 2), verify=True)
@@ -547,7 +607,7 @@ def test_sparse_sweep_answers_are_pinned():
     assert _answers_digest(_sweep_searches()) == (PINNED_SWEEP_ANSWERS_SHA256, 2000)
 
 
-PINNED_SEARCH_SHA256 = "3d66c5cee72c89e48410d298fdf2754138f2aa3f27e34af73276704c42a43b3b"
+PINNED_SEARCH_SHA256 = "9cddbb6b8b8efa52df62978c00699060728ff0041c7229c58ed27374bfc1dffc"
 
 
 def test_search_output_is_bit_identical_to_pinned_hash():
@@ -557,6 +617,9 @@ def test_search_output_is_bit_identical_to_pinned_hash():
     the batched expansion replaced, and recorded again when the 126
     infeasible searches here began to be proved at the root (counters 0, a
     one-event trace); the found-search pin below held across that change.
+    Both were recorded again when each class of rules with bit-identical
+    children began to be expanded once: counters and traces moved, and the
+    answer pins above held.
     Like the benchmark's golden answers, it is tied to the rounding of the
     numpy/BLAS dot products it was recorded with (numpy 2.4 with OpenBLAS
     on x86_64): another BLAS may change the last bit of a value without
@@ -586,7 +649,7 @@ def test_search_output_is_bit_identical_to_pinned_hash():
     assert h.hexdigest() == PINNED_SEARCH_SHA256
 
 
-PINNED_FOUND_SHA256 = "253ec5fd3dd3d7e96c61bc9e05af0c0eb2aeec9fdf76a3e5e151d01c7f37100a"
+PINNED_FOUND_SHA256 = "6f5bec88654e45a11f4adb85e4d23c0db837afc8b60824c577d948c289102fcb"
 
 
 def test_found_searches_are_bit_identical_to_pinned_hash():
