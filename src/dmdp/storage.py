@@ -12,7 +12,8 @@ bytes it wrote, which is digest() of the instance.
 The generator uses a self-contained xorshift64* PRNG seeded per (kind,
 state, action) stream through a splitmix64-style mixer, so instances are
 reproducible bit-for-bit from the seed alone, independent of numpy
-version or platform.  The exact contract is documented in the README.
+version or platform.  The streams are independent, so they advance side by
+side in uint64 arrays, one step of all of them per draw.  The exact contract is documented in the README.
 """
 
 from __future__ import annotations
@@ -242,43 +243,40 @@ def save(instance: DmdpInstance, path) -> str:
 # Reproducible generation
 
 
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer: a bijective avalanche mix on 64 bits."""
-    x &= _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on uint64 arrays: a bijective avalanche mix."""
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
-def _stream_seed(seed: int, *path: int) -> int:
-    """Derive an independent stream state from a seed and index path."""
-    h = _mix64((seed + _GOLDEN) & _M64)
-    for part in path:
-        h = _mix64(h ^ _mix64((part + _GOLDEN) & _M64))
-    return h or _GOLDEN  # xorshift state must be nonzero
+def _stream_seeds(seed: int, kind: int, num_states: int, num_actions: int) -> np.ndarray:
+    """The (num_states, num_actions) stream states of (kind, s, a): the
+    seed is mixed, then each path part p folded in as
+    h = mix(h ^ mix(p + golden))."""
+    def fold(h: np.ndarray, parts: np.ndarray) -> np.ndarray:
+        return _mix64(h ^ _mix64(parts.astype(np.uint64) + np.uint64(_GOLDEN)))
+
+    h = _mix64(np.full((1, 1), (seed + _GOLDEN) & _M64, dtype=np.uint64))
+    h = fold(h, np.full((1, 1), kind))
+    h = fold(h, np.arange(num_states)[:, None])
+    h = fold(h, np.arange(num_actions)[None, :])
+    return np.where(h == 0, np.uint64(_GOLDEN), h)  # xorshift state must be nonzero
 
 
-class _XorShift64Star:
-    """xorshift64* generator; next() yields a uniform double in [0, 1)."""
-
-    def __init__(self, state: int):
-        self._x = state & _M64 or _GOLDEN
-
-    def next_raw(self) -> int:
-        x = self._x
-        x ^= x >> 12
-        x ^= (x << 25) & _M64
-        x ^= x >> 27
-        self._x = x
-        return (x * 0x2545F4914F6CDD1D) & _M64
-
-    def next_unit(self) -> float:
-        # Top 53 bits -> [0, 1).
-        return (self.next_raw() >> 11) * 2.0**-53
-
-    def next_positive_unit(self) -> float:
-        # (0, 1]: shifted so normalization never divides by zero.
-        return ((self.next_raw() >> 11) + 1) * 2.0**-53
+def _xorshift64star(state: np.ndarray, draws: int) -> np.ndarray:
+    """draws outputs of each xorshift64* stream in state, advanced side by
+    side, as the top 53 bits (integers below 2**53) on a new last axis."""
+    x = state.copy()
+    out = np.empty(state.shape + (draws,), dtype=np.uint64)
+    for i in range(draws):
+        x ^= x >> np.uint64(12)
+        x ^= x << np.uint64(25)
+        x ^= x >> np.uint64(27)
+        out[..., i] = (x * np.uint64(0x2545F4914F6CDD1D)) >> np.uint64(11)
+    return out
 
 
 _KIND_TRANSITION = 1
@@ -299,21 +297,17 @@ def generate(
     Rewards: stream (2, s, a) yields horizon draws; the t-th becomes
     reward[t][s][a] = -u with u in [0, 1).  r_max is fixed at 1.
     """
-    transition = np.zeros((num_states, num_actions, num_states))
-    for s in range(num_states):
-        for a in range(num_actions):
-            rng = _XorShift64Star(_stream_seed(seed, _KIND_TRANSITION, s, a))
-            row = [rng.next_positive_unit() for _ in range(num_states)]
-            total = 0.0
-            for u in row:
-                total += u
-            transition[s, a] = [u / total for u in row]
-    reward = np.zeros((horizon, num_states, num_actions))
-    for s in range(num_states):
-        for a in range(num_actions):
-            rng = _XorShift64Star(_stream_seed(seed, _KIND_REWARD, s, a))
-            for t in range(horizon):
-                reward[t, s, a] = -rng.next_unit()
+    # Uniforms in (0, 1]: shifted so normalization never divides by zero.
+    draws = _xorshift64star(_stream_seeds(seed, _KIND_TRANSITION, num_states, num_actions),
+                            num_states)
+    units = (draws + np.uint64(1)).astype(np.float64) * 2.0**-53
+    total = np.zeros((num_states, num_actions))
+    for j in range(num_states):
+        total += units[..., j]
+    transition = units / total[..., None]
+    # Uniforms in [0, 1), one per epoch, moved to the leading axis.
+    draws = _xorshift64star(_stream_seeds(seed, _KIND_REWARD, num_states, num_actions), horizon)
+    reward = np.ascontiguousarray(-np.moveaxis(draws.astype(np.float64) * 2.0**-53, -1, 0))
     return DmdpInstance(
         num_states=num_states,
         num_actions=num_actions,
