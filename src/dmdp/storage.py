@@ -243,44 +243,44 @@ def save(instance: DmdpInstance, path) -> str:
 # Reproducible generation
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 arrays: a bijective avalanche mix."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def _stream_seeds(seed: int, kind: int, num_states: int, num_actions: int) -> np.ndarray:
-    """The (num_states, num_actions) stream states of (kind, s, a): the
-    seed is mixed, then each path part p folded in as
-    h = mix(h ^ mix(p + golden))."""
-    def fold(h: np.ndarray, parts: np.ndarray) -> np.ndarray:
-        return _mix64(h ^ _mix64(parts.astype(np.uint64) + np.uint64(_GOLDEN)))
-
-    h = _mix64(np.full((1, 1), (seed + _GOLDEN) & _M64, dtype=np.uint64))
-    h = fold(h, np.full((1, 1), kind))
-    h = fold(h, np.arange(num_states)[:, None])
-    h = fold(h, np.arange(num_actions)[None, :])
-    return np.where(h == 0, np.uint64(_GOLDEN), h)  # xorshift state must be nonzero
-
-
-def _xorshift64star(state: np.ndarray, draws: int) -> np.ndarray:
-    """draws outputs of each xorshift64* stream in state, advanced side by
-    side, as the top 53 bits (integers below 2**53) on a new last axis."""
-    x = state.copy()
-    out = np.empty(state.shape + (draws,), dtype=np.uint64)
-    for i in range(draws):
-        x ^= x >> np.uint64(12)
-        x ^= x << np.uint64(25)
-        x ^= x >> np.uint64(27)
-        out[..., i] = (x * np.uint64(0x2545F4914F6CDD1D)) >> np.uint64(11)
-    return out
+def _mix64(x):
+    """splitmix64 finalizer: a bijective avalanche mix on 64 bits, of a
+    Python int or elementwise of a uint64 array."""
+    x = x & _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
 
 
 _KIND_TRANSITION = 1
 _KIND_REWARD = 2
+
+
+def _stream_states(seed: int, num_states: int, num_actions: int) -> np.ndarray:
+    """The uint64 states of the streams (kind, s, a), shape (2, S, A),
+    transition streams first: the seed mixed, then each part p of the
+    index path folded in as h = mix(h ^ mix(p + golden))."""
+    rows = []
+    for kind in (_KIND_TRANSITION, _KIND_REWARD):
+        h = _mix64(_mix64(seed + _GOLDEN) ^ _mix64(kind + _GOLDEN))
+        rows.append([_mix64(h ^ _mix64(s + _GOLDEN)) for s in range(num_states)])
+    cols = [_mix64(a + _GOLDEN) for a in range(num_actions)]
+    h = _mix64(np.array(rows, dtype=np.uint64)[..., None] ^ np.array(cols, dtype=np.uint64))
+    return np.where(h == 0, np.uint64(_GOLDEN), h)  # xorshift state must be nonzero
+
+
+def _xorshift64star(state: np.ndarray, draws: int) -> np.ndarray:
+    """The first draws outputs of every xorshift64* stream in state,
+    advanced side by side, as their top 53 bits: shape (draws,) + state.shape."""
+    x = state.copy()
+    out = np.empty((draws,) + state.shape, dtype=np.uint64)
+    for row in out:
+        x ^= x >> 12
+        x ^= x << 25
+        x ^= x >> 27
+        np.multiply(x, 0x2545F4914F6CDD1D, out=row)
+        row >>= 11
+    return out
 
 
 def generate(
@@ -297,17 +297,18 @@ def generate(
     Rewards: stream (2, s, a) yields horizon draws; the t-th becomes
     reward[t][s][a] = -u with u in [0, 1).  r_max is fixed at 1.
     """
-    # Uniforms in (0, 1]: shifted so normalization never divides by zero.
-    draws = _xorshift64star(_stream_seeds(seed, _KIND_TRANSITION, num_states, num_actions),
-                            num_states)
-    units = (draws + np.uint64(1)).astype(np.float64) * 2.0**-53
+    # One pass over all streams; transitions use the first num_states
+    # draws of theirs, rewards the first horizon.
+    draws = _xorshift64star(_stream_states(seed, num_states, num_actions),
+                            max(num_states, horizon))
+    # Uniforms in (0, 1], shifted so normalization never divides by zero,
+    # indexed [draw, s, a].
+    units = (draws[:num_states, 0] + 1).astype(np.float64) * 2.0**-53
     total = np.zeros((num_states, num_actions))
-    for j in range(num_states):
-        total += units[..., j]
-    transition = units / total[..., None]
-    # Uniforms in [0, 1), one per epoch, moved to the leading axis.
-    draws = _xorshift64star(_stream_seeds(seed, _KIND_REWARD, num_states, num_actions), horizon)
-    reward = np.ascontiguousarray(-np.moveaxis(draws.astype(np.float64) * 2.0**-53, -1, 0))
+    for column in units:
+        total += column
+    transition = np.moveaxis(units / total, 0, -1)
+    reward = -(draws[:horizon, 1].astype(np.float64) * 2.0**-53)
     return DmdpInstance(
         num_states=num_states,
         num_actions=num_actions,
