@@ -9,15 +9,7 @@ its final state distribution)?  Two modes:
   cover: the goal set must contain the target (every target state stays
          possible at the end).
 
-Nodes are policies; a node's children append one decision rule.  Rules
-that differ only on states where the node's distribution has exactly zero
-mass give bit-identical children, so each such class is expanded once,
-through its canonical member: the rule taking action 0 on every
-zero-mass state, the first of its class in rule order.  A node therefore
-has A^|nonzero states| children rather than A^S, and the root has A.
-Exact zero, not the goal-set threshold SUPPORT_THRESHOLD, decides: mass
-below the threshold still moves values.  nodes_popped and nodes_pruned
-count these canonical nodes.  Because
+Nodes are policies; a node's children append one decision rule.  Because
 rewards are nonpositive, extending a policy never raises its value, so a
 max-value priority queue pops candidates in non-increasing value order
 and the first popped node satisfying the goal constraint is optimal.
@@ -25,12 +17,20 @@ Value records per (start, goal set) let provably dominated branches be
 pruned: a branch whose value trails a recorded goal-subset (reach) /
 goal-superset (cover) alternative by more than epsilon(t) — the most any
 continuation could still matter — cannot beat that alternative's
-continuations.  The skipped twins would only ever pop after their
-canonical member (same value and depth, larger rule index), so the
-returned policy, value and tie-breaks are those of the uncollapsed search.
-Before the first pop, a target that the kernel's structure
+continuations.  Before the first pop, a target that the kernel's structure
 alone proves unreachable (composition.target_unreachable) is answered
 without searching.
+
+Rules that differ only on states where a node's distribution has exactly
+zero mass give bit-identical children, so each such class of rules is
+expanded once, through its canonical member: the rule taking action 0 on
+every zero-mass state.  It has the smallest index in its class, and each
+skipped twin would pop after it (same value and depth, larger rule
+index), so the returned policy, value and tie-breaks are those of
+expanding every rule.  A node has A^|nonzero states| children rather than
+A^S, and the root has A.  Exact zero decides, not SUPPORT_THRESHOLD: mass
+below the threshold still moves values.  nodes_popped and nodes_pruned
+count canonical nodes only.
 """
 
 from __future__ import annotations
@@ -170,7 +170,8 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     # use: the rules that move off action 0 only on those states.
     moved = actions != 0
     canonical: dict[bytes, np.ndarray] = {}
-    # Rule index of an action vector: rules are in lexicographic order.
+    # Rule index of an action vector (rules are in lexicographic order),
+    # for verify mode.
     place = instance.num_actions ** np.arange(S - 1, -1, -1)
 
     def tighter(a: int, b: int) -> bool:
@@ -257,9 +258,10 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         # rule, not kernels or rewards, so each child keeps the bits of the
         # full product.
         on = _nonzero(dist)
-        idx = canonical.get(on.tobytes())
+        key = on.tobytes()
+        idx = canonical.get(key)
         if idx is None:
-            idx = canonical[on.tobytes()] = np.flatnonzero(~moved[:, ~on].any(axis=1))
+            idx = canonical[key] = np.flatnonzero(~moved[:, ~on].any(axis=1))
         every_dist = dist @ kernels
         every_value = value + instance.gamma**depth * np.vecdot(rewards[depth], dist)
         if config.verify:
