@@ -80,10 +80,6 @@ def _nonzero(dist: np.ndarray) -> np.ndarray:
     return dist != 0.0
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.tobytes() == b.tobytes()
-
-
 def epsilon(instance: DmdpInstance, t: int) -> float:
     """Pruning slack at depth t.
 
@@ -269,8 +265,8 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
             # actions on zero-mass states to 0.
             reps = (actions * (dist != 0.0)) @ place
             if not (np.array_equal(np.unique(reps), idx)
-                    and _same_bits(every_dist, every_dist[reps])
-                    and _same_bits(every_value, every_value[reps])):
+                    and every_dist.tobytes() == every_dist[reps].tobytes()
+                    and every_value.tobytes() == every_value[reps].tobytes()):
                 raise QueueInvariantViolation(
                     f"expanded rules {idx.tolist()} are not one per class of rules "
                     f"with bit-equal children at depth {depth}"

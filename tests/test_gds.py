@@ -634,15 +634,7 @@ def test_search_output_is_bit_identical_to_pinned_hash():
                     start=start, target=target, mode=mode,
                     strict_subset=strict, trace=True,
                 ))
-                record = [
-                    r.found,
-                    r.policy.encoding() if r.found else None,
-                    r.value.hex() if r.found else None,
-                    r.goal.mask if r.found else None,
-                    r.nodes_popped,
-                    r.nodes_pruned,
-                    list(r.trace),
-                ]
+                record = _answer(r) + [r.nodes_popped, r.nodes_pruned, list(r.trace)]
                 h.update(json.dumps(_canonical(record)).encode() + b"\n")
                 searches += 1
     assert searches == 262
@@ -669,12 +661,7 @@ def test_found_searches_are_bit_identical_to_pinned_hash():
                     start=start, target=target, mode=mode,
                     strict_subset=strict, trace=True,
                 ))
-                record = [
-                    r.found,
-                    r.policy.encoding() if r.found else None,
-                    r.value.hex() if r.found else None,
-                    r.goal.mask if r.found else None,
-                ]
+                record = _answer(r)
                 if r.found:
                     record += [r.nodes_popped, r.nodes_pruned, list(r.trace)]
                     found += 1
