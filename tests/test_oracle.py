@@ -1,6 +1,12 @@
+import dataclasses
+import hashlib
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+from conftest import sparse_instance
 from dmdp import (
     DmdpInstance,
     GoalSet,
@@ -16,6 +22,7 @@ from dmdp import (
     goal_set,
     make_static_gap_instance,
     optimal_values,
+    realizable_goal_sets,
 )
 
 
@@ -138,3 +145,76 @@ def test_brute_force_validates_start():
         brute_force_reach(inst, 9, GoalSet.full(2), 2)
     with pytest.raises(ValueError):
         brute_force_reach(inst, 0, GoalSet.full(3), 2)
+
+
+def _pin_instances():
+    """The first ten corpus instances, sparse 3x2x3, 4x2x3 and 5x2x2, and
+    dense 8x2x1, each with its targets: every nonempty one up to four
+    states, and on wider ones the singletons, their complements and the
+    full set.
+
+    The sparse ones use gamma 0.3, because scaling by a power of two such
+    as the corpus's 0.5 is exact and would hide a change in the order of
+    the products.  A last sparse instance with a free action ties many
+    policies of different lengths at the same value, so the tie-break
+    shows."""
+    shapes = [generate(seed, 3, 2, 3, 0.5) for seed in range(10)]
+    shapes += [sparse_instance(0, *shape, 0.3) for shape in ((3, 2, 3), (4, 2, 3), (5, 2, 2))]
+    shapes.append(generate(0, 8, 2, 1, 0.5))
+    tied = sparse_instance(1, 3, 2, 3, 0.3)
+    reward = tied.reward.copy()
+    reward[:, :, 0] = 0.0
+    shapes.append(dataclasses.replace(tied, reward=reward))
+    for inst in shapes:
+        S = inst.num_states
+        if S <= 4:
+            targets = [
+                GoalSet.from_states(c, S)
+                for n in range(1, S + 1) for c in itertools.combinations(range(S), n)
+            ]
+        else:
+            targets = [GoalSet.from_states([s], S) for s in range(S)]
+            targets += [GoalSet.from_states([x for x in range(S) if x != s], S) for s in range(S)]
+            targets.append(GoalSet.full(S))
+        yield inst, targets
+
+
+def _oracle_digest():
+    """sha256 over every oracle answer of the pin sweep, floats as hex,
+    and the number of records hashed."""
+    h = hashlib.sha256()
+    records = 0
+
+    def add(record):
+        nonlocal records
+        h.update(json.dumps(record).encode() + b"\n")
+        records += 1
+
+    for inst, targets in _pin_instances():
+        add([v.hex() for v in brute_force_optimal_value(inst).tolist()])
+        for start in range(inst.num_states):
+            for max_len in range(1, inst.horizon + 1):
+                add([g.mask for g in realizable_goal_sets(inst, start, max_len)])
+                for target in targets:
+                    for brute in (brute_force_reach, brute_force_cover):
+                        best = brute(inst, start, target, max_len)
+                        add([False] if best is None else [
+                            True, best.policy.encoding(), best.value.hex(), best.goal.mask,
+                        ])
+    return h.hexdigest(), records
+
+
+PINNED_ORACLE_SHA256 = "c72fdb8587435e908dbbea8c023866be0cef65405fc26443cc4541f3f68aa918"
+
+
+def test_oracle_answers_are_pinned():
+    """Found, policy encoding, value bits and goal mask of every reach and
+    cover answer, the bits of the optimal values and the order of the
+    realizable goal sets, over the pin sweep.
+
+    Recorded with the one-policy-at-a-time oracle (goal_set and
+    evaluate_policy per enumerated policy). Like the search pins, it is
+    tied to the rounding of the numpy/BLAS products it was recorded with
+    (numpy 2.4 with OpenBLAS on x86_64).
+    """
+    assert _oracle_digest() == (PINNED_ORACLE_SHA256, 2517)
