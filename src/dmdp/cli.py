@@ -9,6 +9,7 @@ a requested solution does not exist, 1 on errors, 64 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -297,8 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs far more than parsing with it, and parsing
+# leaves it unchanged, so one parser serves every call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         instance_digest, config, result, code = args.func(args)

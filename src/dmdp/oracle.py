@@ -3,19 +3,46 @@
 Everything here enumerates whole policy spaces, so it is only usable on
 tiny instances; the budget guard makes the blowup explicit instead of
 letting a call run forever.
+
+The oracles do not loop over policies one at a time.  They evaluate every
+policy of one length n together, in blocks of at most POLICY_BLOCK
+policies taken in enumeration order (shortest first, rules in
+lexicographic order within a length), so memory stays bounded whatever
+the budget allows.  A block's final distributions are built forward from
+the distribution its shared prefix reaches, one vector-matrix product per
+rule, and its values backward from the values of the shared suffixes, one
+matrix-vector product per rule.  Those are the products, in the order,
+that goal_set and evaluate_policy compute for a single policy, so every
+goal set and every value is bit-equal to theirs.  Ties keep the earliest
+policy in enumeration order, as they always did.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bellman import evaluate_policy
-from .composition import GoalSet, goal_set
-from .core import DmdpError, DmdpInstance, TimeVaryingPolicy, enumerate_decision_rules
+from .bellman import _rule_kernel
+from .composition import GoalSet, support_masks
+from .core import (
+    DmdpError,
+    DmdpInstance,
+    EnumerationCapExceeded,
+    TimeVaryingPolicy,
+    enumerate_decision_rules,
+)
+
+# The benchmark's tracer (perfbench/tracing.py) wraps these names on this
+# module, so they stay importable here though the oracles do not call them.
+from .bellman import evaluate_policy  # noqa: F401
+from .composition import goal_set  # noqa: F401
 
 DEFAULT_POLICY_BUDGET = 10**7
+
+# Most policies whose distributions or values one array holds at once.
+POLICY_BLOCK = 1 << 14
 
 
 class OracleBudgetExceeded(DmdpError):
@@ -33,6 +60,14 @@ def count_policies(instance: DmdpInstance, max_len: int) -> int:
     return sum(per_epoch**n for n in range(1, max_len + 1))
 
 
+def _check_budget(instance: DmdpInstance, max_len: int, budget: int) -> None:
+    if not 1 <= max_len <= instance.horizon:
+        raise ValueError(f"max_len must be in 1..{instance.horizon}, got {max_len}")
+    required = count_policies(instance, max_len)
+    if required > budget:
+        raise OracleBudgetExceeded(required=required, budget=budget)
+
+
 def enumerate_policies(
     instance: DmdpInstance,
     max_len: int,
@@ -41,11 +76,7 @@ def enumerate_policies(
     """Yield every policy of length 1..max_len, shortest first, rules in
     lexicographic order within a length.  Raises OracleBudgetExceeded
     before yielding anything if the total count exceeds the budget."""
-    if not 1 <= max_len <= instance.horizon:
-        raise ValueError(f"max_len must be in 1..{instance.horizon}, got {max_len}")
-    required = count_policies(instance, max_len)
-    if required > budget:
-        raise OracleBudgetExceeded(required=required, budget=budget)
+    _check_budget(instance, max_len, budget)
     rules = list(enumerate_decision_rules(instance, cap=budget))
 
     def extend(prefix: tuple, length: int) -> Iterator[TimeVaryingPolicy]:
@@ -57,6 +88,78 @@ def enumerate_policies(
 
     for n in range(1, max_len + 1):
         yield from extend((), n)
+
+
+def _rule_actions(instance: DmdpInstance, rules: np.ndarray) -> np.ndarray:
+    """Action vectors (k, S) of the rules at the given enumeration indices."""
+    S, A = instance.num_states, instance.num_actions
+    return rules[:, None] // A ** np.arange(S - 1, -1, -1) % A
+
+
+def _rule_arrays(instance: DmdpInstance, rules) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels (k, S, S) and reward rows (T, k, S) of the rules at the
+    given enumeration indices."""
+    actions = _rule_actions(instance, np.asarray(rules, dtype=np.int64))
+    states = np.arange(instance.num_states)
+    return _rule_kernel(instance, actions), instance.reward[:, states, actions]
+
+
+def _backup(gamma: float, rewards: np.ndarray, kernels: np.ndarray, values: np.ndarray):
+    """One backward step of evaluate_policy, r + gamma * (P @ v), for every
+    (rule, value row) pair: (k, S) rewards and (k, S, S) kernels against
+    (B, S) values give (k * B, S) values, rule-major."""
+    after = (kernels[:, None] @ values[None, :, :, None])[..., 0]
+    return (rewards[:, None, :] + gamma * after).reshape(-1, values.shape[1])
+
+
+def _blocks(
+    instance: DmdpInstance, n: int, start: int | None
+) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
+    """Yield (index of the first policy, goal masks, value rows) for the
+    policies of length n, in consecutive blocks of at most POLICY_BLOCK in
+    enumeration order.  Masks are those of goal sets from `start`, or None
+    without a start.
+
+    A block fixes the rules of the first j epochs, takes a run of rules at
+    epoch j, and takes every rule at the m = n - 1 - j epochs after it.
+    """
+    S, R, gamma = instance.num_states, instance.num_actions**instance.num_states, instance.gamma
+    m = 0
+    while m < n - 1 and R ** (m + 1) <= POLICY_BLOCK:
+        m += 1
+    j, width = n - 1 - m, min(R, POLICY_BLOCK // R**m)
+    # Values of every rule sequence over the last m epochs, shared by all blocks.
+    tail = np.zeros((1, S))
+    if m:
+        kernels, rewards = _rule_arrays(instance, np.arange(R))
+        for t in reversed(range(j + 1, n)):
+            tail = _backup(gamma, rewards[t], kernels, tail)
+    for p, prefix in enumerate(itertools.product(range(R), repeat=j)):
+        prefix_kernels, prefix_rewards = _rule_arrays(instance, prefix)
+        if start is not None:
+            dist = np.zeros(S)
+            dist[start] = 1.0
+            for t in range(j):
+                dist = dist @ prefix_kernels[t]
+        for lo in range(0, R, width):
+            run_kernels, run_rewards = _rule_arrays(instance, np.arange(lo, min(lo + width, R)))
+            masks = None
+            if start is not None:
+                dists = dist @ run_kernels
+                for _ in range(m):
+                    dists = (dists[:, None, None, :] @ kernels).reshape(-1, S)
+                masks = support_masks(dists)
+            values = _backup(gamma, run_rewards[j], run_kernels, tail)
+            for t in reversed(range(j)):
+                values = _backup(gamma, prefix_rewards[t, t : t + 1], prefix_kernels[t : t + 1], values)
+            yield (p * R + lo) * R**m, masks, values
+
+
+def _policy_at(instance: DmdpInstance, n: int, index: int) -> TimeVaryingPolicy:
+    """The policy of length n at `index` in enumeration order."""
+    R = instance.num_actions**instance.num_states
+    rules = [index // R ** (n - 1 - t) % R for t in range(n)]
+    return TimeVaryingPolicy.from_actions(_rule_actions(instance, np.array(rules)))
 
 
 class BruteForceResult(NamedTuple):
@@ -77,17 +180,26 @@ def _brute_force(
         raise ValueError(f"start state {start} out of range")
     if target.num_states != instance.num_states:
         raise ValueError("target goal set is over a different state space")
-    best: BruteForceResult | None = None
-    for policy in enumerate_policies(instance, max_len, budget):
-        goal = goal_set(instance, policy, start)
-        if not qualifies(goal):
-            continue
-        value = float(evaluate_policy(instance, policy).values[0, start])
-        # Strict improvement keeps the earliest policy among ties, which
-        # matches the enumeration's canonical order.
-        if best is None or value > best.value:
-            best = BruteForceResult(policy, value, goal)
-    return best
+    _check_budget(instance, max_len, budget)
+    target_mask = np.uint64(target.mask)
+    best = None
+    for n in range(1, max_len + 1):
+        for first, masks, values in _blocks(instance, n, start):
+            ok = np.flatnonzero(qualifies(masks, target_mask))
+            if not ok.size:
+                continue
+            i = ok[np.argmax(values[ok, start])]
+            # Strict improvement keeps the earliest policy among ties, which
+            # matches the enumeration's canonical order; argmax does the
+            # same within a block.
+            if best is None or values[i, start] > best[0]:
+                best = (values[i, start], n, first + int(i), int(masks[i]))
+    if best is None:
+        return None
+    value, n, index, mask = best
+    return BruteForceResult(
+        _policy_at(instance, n, index), float(value), GoalSet(mask, instance.num_states)
+    )
 
 
 def brute_force_reach(
@@ -99,7 +211,7 @@ def brute_force_reach(
 ) -> BruteForceResult | None:
     """Best policy whose goal set is contained in the target, or None."""
     return _brute_force(
-        instance, start, target, max_len, budget, lambda g: g.issubset(target)
+        instance, start, target, max_len, budget, lambda g, t: (g & ~t) == 0
     )
 
 
@@ -112,7 +224,7 @@ def brute_force_cover(
 ) -> BruteForceResult | None:
     """Best policy whose goal set contains the target, or None."""
     return _brute_force(
-        instance, start, target, max_len, budget, lambda g: target.issubset(g)
+        instance, start, target, max_len, budget, lambda g, t: (t & ~g) == 0
     )
 
 
@@ -121,22 +233,14 @@ def brute_force_optimal_value(
 ) -> np.ndarray:
     """Unconstrained optimum per start state over all full-horizon
     policies — the slow mirror of the backward-induction V* row 0."""
-    best = np.full(instance.num_states, -np.inf)
-    rules = list(enumerate_decision_rules(instance, cap=budget))
-    per_epoch = len(rules)
+    per_epoch = instance.num_actions**instance.num_states
+    if per_epoch > budget:
+        raise EnumerationCapExceeded(required=per_epoch, cap=budget)
     if per_epoch**instance.horizon > budget:
         raise OracleBudgetExceeded(per_epoch**instance.horizon, budget)
-
-    def full_length(prefix: tuple, remaining: int):
-        nonlocal best
-        if remaining == 0:
-            vals = evaluate_policy(instance, TimeVaryingPolicy(prefix)).values[0]
-            best = np.maximum(best, vals)
-            return
-        for rule in rules:
-            full_length(prefix + (rule,), remaining - 1)
-
-    full_length((), instance.horizon)
+    best = np.full(instance.num_states, -np.inf)
+    for _, _, values in _blocks(instance, instance.horizon, None):
+        best = np.maximum(best, values.max(axis=0))
     return best
 
 
@@ -148,9 +252,12 @@ def realizable_goal_sets(
 ) -> tuple[GoalSet, ...]:
     """Every goal set realized by some policy of length 1..max_len from
     `start`, in first-realized order."""
-    seen: dict[int, GoalSet] = {}
-    for policy in enumerate_policies(instance, max_len, budget):
-        g = goal_set(instance, policy, start)
-        if g.mask not in seen:
-            seen[g.mask] = g
-    return tuple(seen.values())
+    _check_budget(instance, max_len, budget)
+    if not 0 <= start < instance.num_states:
+        raise ValueError(f"start state {start} out of range")
+    seen: dict[int, None] = {}
+    for n in range(1, max_len + 1):
+        for _, masks, _ in _blocks(instance, n, start):
+            found, first = np.unique(masks, return_index=True)
+            seen.update(dict.fromkeys(found[np.argsort(first)].tolist()))
+    return tuple(GoalSet(mask, instance.num_states) for mask in seen)

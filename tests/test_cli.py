@@ -395,3 +395,22 @@ def test_reports_and_written_files_are_pinned(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(report.encode("utf-8")).hexdigest() == expected, argv
     for name, expected in PINNED_FILES.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
+
+
+def test_cached_parser_gives_a_fresh_process_report_after_a_usage_error(
+    instance_file, monkeypatch, capsys
+):
+    from dmdp import cli
+
+    monkeypatch.delenv("GDS_NODE_BUDGET", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve-reach", instance_file, "--start", "1", "--target", "0",
+                  "--strict", "--node-budget", "0"])
+    assert exc.value.code == 64
+    capsys.readouterr()
+    argv = ["solve-reach", instance_file, "--start", "0", "--target", "0,1,2"]
+    assert cli.main(argv) == 0
+    in_process = _report_without_timing(capsys.readouterr().out)
+    fresh = run_cli(*argv)
+    assert fresh.returncode == 0
+    assert in_process == _report_without_timing(fresh.stdout)

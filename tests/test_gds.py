@@ -264,8 +264,9 @@ def _best(outcomes, members, mode, strict=False):
 
 
 def test_search_matches_brute_force_on_sparse_sweep(sparse_sweep):
-    # The fixture's outcomes stand in for the oracle; tie them to it on seed 0.
-    for inst, start, targets, outcomes in sparse_sweep[:2]:
+    # The fixture's outcomes, one evaluate_policy and goal_set per
+    # enumerated policy, are the reference the batched oracle must equal.
+    for inst, start, targets, outcomes in sparse_sweep:
         for members in targets:
             target = GoalSet.from_states(members, 3)
             for mode, brute in (("reach", brute_force_reach), ("cover", brute_force_cover)):

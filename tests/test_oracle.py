@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import sparse_instance
 from dmdp import (
     DmdpInstance,
+    EnumerationCapExceeded,
     GoalSet,
     OracleBudgetExceeded,
     TimeVaryingPolicy,
@@ -24,6 +26,7 @@ from dmdp import (
     optimal_values,
     realizable_goal_sets,
 )
+from dmdp import oracle
 
 
 def single_state_instance(horizon=2, gamma=0.5, num_actions=2, seed=0):
@@ -218,3 +221,53 @@ def test_oracle_answers_are_pinned():
     (numpy 2.4 with OpenBLAS on x86_64).
     """
     assert _oracle_digest() == (PINNED_ORACLE_SHA256, 2517)
+
+
+def test_block_size_does_not_change_the_answers(monkeypatch):
+    # 64 splits every length above R**2 <= 64 into blocks: runs of rules
+    # at one epoch behind a fixed prefix, and runs narrower than R itself
+    # on the dense 8x2x1 instance (R = 256).
+    monkeypatch.setattr(oracle, "POLICY_BLOCK", 64)
+    assert _oracle_digest() == (PINNED_ORACLE_SHA256, 2517)
+
+
+def test_memory_stays_bounded_on_two_million_policies():
+    inst = single_state_instance(horizon=20)
+    assert count_policies(inst, 20) == 2**21 - 2
+    tracemalloc.start()
+    try:
+        best = brute_force_reach(inst, 0, GoalSet.full(1), 20)
+        optimum = brute_force_optimal_value(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Rewards are negative, so the best policy plays the best first action
+    # and stops; a length-1 value is its reward exactly.
+    assert best.value == inst.reward[0, 0].max()
+    assert best.policy.encoding() == ((int(inst.reward[0, 0].argmax()),),)
+    # With one state and a unit kernel, every backup is exact up to the
+    # same roundings as backward induction.
+    assert np.array_equal(optimum, optimal_values(inst).values[0])
+    # One array of the 2**20 length-20 values alone would take 8 MiB.
+    assert peak < 2 * 2**20
+
+
+def test_errors_keep_their_order():
+    inst = generate(0, 3, 2, 3, 0.5)
+    with pytest.raises(ValueError, match="start state"):
+        brute_force_reach(inst, 3, GoalSet.full(3), 9, budget=1)
+    with pytest.raises(ValueError, match="max_len"):
+        brute_force_cover(inst, 0, GoalSet.full(3), 9, budget=1)
+    with pytest.raises(OracleBudgetExceeded) as exc:
+        brute_force_reach(inst, 0, GoalSet.full(3), 2, budget=71)
+    assert exc.value.required == 72
+    with pytest.raises(ValueError, match="max_len"):
+        realizable_goal_sets(inst, 3, 0, budget=1)
+    with pytest.raises(OracleBudgetExceeded):
+        realizable_goal_sets(inst, 3, 1, budget=7)
+    with pytest.raises(ValueError, match="start state"):
+        realizable_goal_sets(inst, 3, 1)
+    with pytest.raises(EnumerationCapExceeded):
+        brute_force_optimal_value(inst, budget=7)
+    with pytest.raises(OracleBudgetExceeded):
+        brute_force_optimal_value(inst, budget=8)
