@@ -11,10 +11,10 @@ lexicographic order within a length), so memory stays bounded whatever
 the budget allows.  A block's final distributions are built forward from
 the distribution its shared prefix reaches, one vector-matrix product per
 rule, and its values backward from the values of the shared suffixes, one
-matrix-vector product per rule.  Those are the products, in the order,
-that goal_set and evaluate_policy compute for a single policy, so every
-goal set and every value is bit-equal to theirs.  Ties keep the earliest
-policy in enumeration order, as they always did.
+matrix-vector product per rule.  goal_set and evaluate_policy compute
+the same products in the same order for a single policy, so every goal
+set and every value is bit-equal to theirs.  Ties keep the earliest
+policy in enumeration order.
 """
 
 from __future__ import annotations
@@ -113,17 +113,17 @@ def _backup(gamma: float, rewards: np.ndarray, kernels: np.ndarray, values: np.n
 
 
 def _blocks(
-    instance: DmdpInstance, n: int, start: int | None
-) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
-    """Yield (index of the first policy, goal masks, value rows) for the
-    policies of length n, in consecutive blocks of at most POLICY_BLOCK in
-    enumeration order.  Masks are those of goal sets from `start`, or None
-    without a start.
+    instance: DmdpInstance, n: int, start: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (index of the first policy, masks of the goal sets from
+    `start`, value rows) for the policies of length n, in consecutive
+    blocks of at most POLICY_BLOCK in enumeration order.
 
     A block fixes the rules of the first j epochs, takes a run of rules at
     epoch j, and takes every rule at the m = n - 1 - j epochs after it.
     """
-    S, R, gamma = instance.num_states, instance.num_actions**instance.num_states, instance.gamma
+    S, gamma = instance.num_states, instance.gamma
+    R = instance.num_actions**S
     m = 0
     while m < n - 1 and R ** (m + 1) <= POLICY_BLOCK:
         m += 1
@@ -136,22 +136,20 @@ def _blocks(
             tail = _backup(gamma, rewards[t], kernels, tail)
     for p, prefix in enumerate(itertools.product(range(R), repeat=j)):
         prefix_kernels, prefix_rewards = _rule_arrays(instance, prefix)
-        if start is not None:
-            dist = np.zeros(S)
-            dist[start] = 1.0
-            for t in range(j):
-                dist = dist @ prefix_kernels[t]
+        dist = np.zeros(S)
+        dist[start] = 1.0
+        for t in range(j):
+            dist = dist @ prefix_kernels[t]
         for lo in range(0, R, width):
-            run_kernels, run_rewards = _rule_arrays(instance, np.arange(lo, min(lo + width, R)))
-            masks = None
-            if start is not None:
-                dists = dist @ run_kernels
-                for _ in range(m):
-                    dists = (dists[:, None, None, :] @ kernels).reshape(-1, S)
-                masks = support_masks(dists)
+            run = np.arange(lo, min(lo + width, R))
+            run_kernels, run_rewards = _rule_arrays(instance, run)
+            dists = dist @ run_kernels
+            for _ in range(m):
+                dists = (dists[:, None, None, :] @ kernels).reshape(-1, S)
+            masks = support_masks(dists)
             values = _backup(gamma, run_rewards[j], run_kernels, tail)
             for t in reversed(range(j)):
-                values = _backup(gamma, prefix_rewards[t, t : t + 1], prefix_kernels[t : t + 1], values)
+                values = _backup(gamma, prefix_rewards[t, [t]], prefix_kernels[[t]], values)
             yield (p * R + lo) * R**m, masks, values
 
 
@@ -239,7 +237,8 @@ def brute_force_optimal_value(
     if per_epoch**instance.horizon > budget:
         raise OracleBudgetExceeded(per_epoch**instance.horizon, budget)
     best = np.full(instance.num_states, -np.inf)
-    for _, _, values in _blocks(instance, instance.horizon, None):
+    # Value rows cover every start state; the goal masks go unused.
+    for _, _, values in _blocks(instance, instance.horizon, 0):
         best = np.maximum(best, values.max(axis=0))
     return best
 

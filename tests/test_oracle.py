@@ -245,8 +245,9 @@ def test_memory_stays_bounded_on_two_million_policies():
     # and stops; a length-1 value is its reward exactly.
     assert best.value == inst.reward[0, 0].max()
     assert best.policy.encoding() == ((int(inst.reward[0, 0].argmax()),),)
-    # With one state and a unit kernel, every backup is exact up to the
-    # same roundings as backward induction.
+    # With one state and a unit kernel, every policy's backup rounds like
+    # backward induction's, and rounding is monotone, so the best value is
+    # V* to the bit.
     assert np.array_equal(optimum, optimal_values(inst).values[0])
     # One array of the 2**20 length-20 values alone would take 8 MiB.
     assert peak < 2 * 2**20
