@@ -670,3 +670,29 @@ def test_found_searches_are_bit_identical_to_pinned_hash():
                 searches += 1
     assert searches == 262 and found == 136
     assert h.hexdigest() == PINNED_FOUND_SHA256
+
+
+PINNED_VERIFY_SHA256 = "802b82a3fa280a4574e8cf030197bc5266eebaeb55044edb10b8b3e18f2226c5"
+
+
+def test_verified_searches_are_bit_identical_to_pinned_hash():
+    """Hash the answer, counters and full trace of every pinned search in
+    verify mode, which also drains the 126 searches whose targets the root
+    verdict proves unreachable.  Verify mode only checks: this pin was
+    recorded with the one evaluate_policy call per pushed child that the
+    batched backward pass replaced."""
+    h = hashlib.sha256()
+    searches = drained = 0
+    for inst, start, target, modes in _pin_searches():
+        for mode in modes:
+            for strict in (False, True):
+                r = gds_search(inst, GdsConfig(
+                    start=start, target=target, mode=mode,
+                    strict_subset=strict, trace=True, verify=True,
+                ))
+                record = _answer(r) + [r.nodes_popped, r.nodes_pruned, list(r.trace)]
+                h.update(json.dumps(_canonical(record)).encode() + b"\n")
+                searches += 1
+                drained += r.trace[-1]["reason"] == "queue-exhausted"
+    assert searches == 262 and drained == 126
+    assert h.hexdigest() == PINNED_VERIFY_SHA256
