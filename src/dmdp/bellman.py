@@ -96,9 +96,21 @@ def _rule_kernel(instance: DmdpInstance, actions) -> np.ndarray:
     return instance.transition[idx, np.asarray(actions), :]
 
 
-def _rule_rewards(instance: DmdpInstance, rule: DecisionRule, t: int) -> np.ndarray:
+def _rule_rewards(instance: DmdpInstance, actions, t=slice(None)) -> np.ndarray:
+    """Reward vector at epoch t under a rule's action vector, or one row
+    per rule for a stack of action vectors of shape (..., S).  Without t,
+    the rows of every epoch, with the epochs on the leading axis."""
     idx = np.arange(instance.num_states)
-    return instance.reward[t, idx, np.array(rule.actions)]
+    return instance.reward[t, idx, np.asarray(actions)]
+
+
+def _backup(gamma: float, rewards: np.ndarray, kernels: np.ndarray, values: np.ndarray):
+    """One backward step of evaluate_policy, r + gamma * (P @ v), for every
+    (rule, value row) pair: (k, S) rewards and (k, S, S) kernels against
+    (B, S) values give (k * B, S) values, rule-major.  Each product is one
+    matrix-vector product, as in evaluate_policy, so the bits are its."""
+    after = (kernels[:, None] @ values[None, :, :, None])[..., 0]
+    return (rewards[:, None, :] + gamma * after).reshape(-1, values.shape[1])
 
 
 def evaluate_policy(
@@ -121,11 +133,30 @@ def evaluate_policy(
         )
     values = np.zeros((n + 1, instance.num_states))
     for i in reversed(range(n)):
-        rule = policy.rule_at(i)
-        r_pi = _rule_rewards(instance, rule, start_time + i)
-        p_pi = _rule_kernel(instance, rule.actions)
+        actions = policy.rule_at(i).actions
+        r_pi = _rule_rewards(instance, actions, start_time + i)
+        p_pi = _rule_kernel(instance, actions)
         values[i] = r_pi + instance.gamma * (p_pi @ values[i + 1])
     return ValueTable(values)
+
+
+def evaluate_extensions(instance: DmdpInstance, prefix, rules, start: int) -> np.ndarray:
+    """Exact values from `start` of the policies prefix + (rule,), one per
+    action vector in `rules` (k, S), where `prefix` holds the action
+    vectors (n, S) of the shared first n rules.
+
+    One backward pass serves all k policies: the rules' reward rows at
+    epoch n, then one _backup per prefix epoch from n - 1 down to 0.  Each
+    value is bit-equal to evaluate_policy(...).values[0, start].
+    """
+    n = len(prefix)
+    # r + gamma * (P @ 0) is r + 0.0, which turns a reward of -0.0 into 0.0.
+    values = _rule_rewards(instance, rules, n) + 0.0
+    for t in reversed(range(n)):
+        actions = prefix[t]
+        values = _backup(instance.gamma, _rule_rewards(instance, actions, t)[None],
+                         _rule_kernel(instance, actions)[None], values)
+    return values[:, start]
 
 
 def bellman_value_operator(instance: DmdpInstance, values: ValueTable) -> ValueTable:

@@ -41,7 +41,7 @@ from typing import Literal
 
 import numpy as np
 
-from .bellman import _rule_kernel, evaluate_policy
+from .bellman import _rule_kernel, _rule_rewards, evaluate_extensions
 from .composition import GoalSet, includes, support_masks, support_of, target_unreachable
 from .core import (
     DmdpError,
@@ -51,6 +51,10 @@ from .core import (
     enumerate_decision_rules,
     validate,
 )
+
+# The benchmark's tracer (perfbench/tracing.py) wraps this name on this
+# module, so it stays importable here though the search does not call it.
+from .bellman import evaluate_policy  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -99,11 +103,14 @@ class GdsConfig:
     strict_subset switches the three goal-set inclusions (termination,
     pruning, record updates) from subset-or-equal to proper subset.
     verify re-derives every pushed node's value by exact backward
-    induction and checks the pop order, at significant cost; it also
-    searches targets proved unreachable at the root, and checks that the
-    drain finds nothing.  It also checks at every expansion that exactly
-    one rule per class is expanded, and that every skipped rule's child
-    is bit-equal to its class's.
+    induction and checks the pop order.  An expansion's children share
+    their path up to the last rule, so one batched backward pass
+    (bellman.evaluate_extensions) values them all, bit-equal to
+    evaluate_policy on each.  Verify mode also searches targets proved
+    unreachable at the root, and checks that the drain finds nothing.  It
+    also checks at every expansion that exactly one rule per class is
+    expanded, and that every skipped rule's child is bit-equal to its
+    class's.
     """
 
     start: int
@@ -157,11 +164,11 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     rules = list(enumerate_decision_rules(instance))
     actions = np.array([rule.actions for rule in rules])
     kernels = _rule_kernel(instance, actions)
-    # Row [t, r] is rule r's reward vector at epoch t.  Keep this fancy
-    # index: its rows are strided, and BLAS sums a strided dot in another
+    # Row [t, r] is rule r's reward vector at epoch t.  Keep the helper's
+    # fancy index: its rows are strided, and BLAS sums a strided dot in another
     # order than a contiguous one, so a contiguous copy changes the last
     # bit of some values (the pinned-hash test in test_gds.py shows it).
-    rewards = instance.reward[:, np.arange(S), actions]
+    rewards = _rule_rewards(instance, actions)
     # Canonical rule indices per set of nonzero states, filled on first
     # use: the rules that move off action 0 only on those states.
     moved = actions != 0
@@ -274,22 +281,25 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         child_dists = every_dist[idx]
         child_values = every_value[idx].tolist()
         child_masks = support_masks(child_dists).tolist()
-        for ri, child_value, child_mask, child_dist in zip(
-            idx.tolist(), child_values, child_masks, child_dists
+        # Verify mode's exact values come from one backward pass over the
+        # instance alone: none of the arrays above may feed it.
+        exact_values = (
+            evaluate_extensions(instance, actions[list(path)], actions[idx], config.start).tolist()
+            if config.verify else child_values
+        )
+        for ri, child_value, child_mask, child_dist, exact in zip(
+            idx.tolist(), child_values, child_masks, child_dists, exact_values
         ):
             child_path = path + (ri,)
             heapq.heappush(heap, (-child_value, depth + 1, child_path, child_mask, child_dist))
             if events is not None:
                 events.append({"event": "push", "depth": depth + 1, "value": child_value,
                                "goal": members(child_mask), "rule": rules[ri].actions})
-            if config.verify:
-                policy = policy_of(child_path)
-                exact = float(evaluate_policy(instance, policy).values[0, config.start])
-                if abs(child_value - exact) > QUEUE_VALUE_TOL:
-                    raise QueueInvariantViolation(
-                        f"queued value {child_value!r} != exact value {exact!r} "
-                        f"for policy {policy.encoding()}"
-                    )
+            if config.verify and abs(child_value - exact) > QUEUE_VALUE_TOL:
+                raise QueueInvariantViolation(
+                    f"queued value {child_value!r} != exact value {exact!r} "
+                    f"for policy {policy_of(child_path).encoding()}"
+                )
             # Raise still-open records that the child's goal set dominates.
             for m, recorded in records.items():
                 if m not in popped_goals and tighter(child_mask, m) and child_value > recorded:

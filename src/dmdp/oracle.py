@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bellman import _rule_kernel
+from .bellman import _backup, _rule_kernel, _rule_rewards
 from .composition import GoalSet, support_masks
 from .core import (
     DmdpError,
@@ -100,16 +100,7 @@ def _rule_arrays(instance: DmdpInstance, rules) -> tuple[np.ndarray, np.ndarray]
     """Kernels (k, S, S) and reward rows (T, k, S) of the rules at the
     given enumeration indices."""
     actions = _rule_actions(instance, np.asarray(rules, dtype=np.int64))
-    states = np.arange(instance.num_states)
-    return _rule_kernel(instance, actions), instance.reward[:, states, actions]
-
-
-def _backup(gamma: float, rewards: np.ndarray, kernels: np.ndarray, values: np.ndarray):
-    """One backward step of evaluate_policy, r + gamma * (P @ v), for every
-    (rule, value row) pair: (k, S) rewards and (k, S, S) kernels against
-    (B, S) values give (k * B, S) values, rule-major."""
-    after = (kernels[:, None] @ values[None, :, :, None])[..., 0]
-    return (rewards[:, None, :] + gamma * after).reshape(-1, values.shape[1])
+    return _rule_kernel(instance, actions), _rule_rewards(instance, actions)
 
 
 def _blocks(

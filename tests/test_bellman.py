@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import sparse_instance
 from dmdp import (
     ConvergenceError,
     DmdpInstance,
@@ -20,6 +21,8 @@ from dmdp import (
     q_values,
     sup_distance,
 )
+from dmdp.bellman import evaluate_extensions
+from dmdp.core import enumerate_decision_rules
 
 
 def random_policy(instance, rng, length=None):
@@ -102,6 +105,42 @@ def test_evaluate_rejects_bad_policies():
         evaluate_policy(inst, TimeVaryingPolicy.from_actions([[0, 0]] * 3))
     with pytest.raises(ValueError):
         evaluate_policy(inst, TimeVaryingPolicy.from_actions([[0, 0]] * 2), start_time=1)
+
+
+def _with_negative_zero_rewards(instance, rng):
+    """The instance with a third of its rewards replaced by -0.0."""
+    reward = np.where(rng.random(instance.reward.shape) < 1 / 3, -0.0, instance.reward)
+    return DmdpInstance(
+        num_states=instance.num_states, num_actions=instance.num_actions,
+        horizon=instance.horizon, gamma=instance.gamma, r_max=instance.r_max,
+        transition=instance.transition, reward=reward, sign_mode=instance.sign_mode,
+    )
+
+
+def test_evaluate_extensions_is_bit_equal_to_evaluate_policy():
+    # Random paths and random sets of last rules, from every start state,
+    # on sparse and dense kernels; -0.0 rewards check the terminal step.
+    rng = np.random.default_rng(0)
+    instances = [sparse_instance(seed, 3, 2, 4) for seed in range(4)]
+    instances += [generate(seed, 3, 2, 4, 0.5) for seed in range(4)]
+    instances += [sparse_instance(9, 4, 2, 4, 0.3), generate(9, 4, 2, 3, 0.9)]
+    instances += [_with_negative_zero_rewards(inst, rng) for inst in instances[:2]]
+    checked = 0
+    for inst in instances:
+        actions = np.array([rule.actions for rule in enumerate_decision_rules(inst)])
+        for n in range(inst.horizon):
+            for _ in range(3):
+                path = rng.integers(len(actions), size=n)
+                last = np.flatnonzero(rng.random(len(actions)) < 0.5)
+                for start in range(inst.num_states):
+                    values = evaluate_extensions(inst, actions[path], actions[last], start)
+                    assert values.shape == (len(last),)
+                    for rule, value in zip(last, values.tolist()):
+                        policy = TimeVaryingPolicy.from_actions(actions[[*path, rule]])
+                        exact = float(evaluate_policy(inst, policy).values[0, start])
+                        assert value.hex() == exact.hex(), (path, rule, start)
+                        checked += 1
+    assert checked > 1000
 
 
 def test_value_table_requires_zero_terminal_row():

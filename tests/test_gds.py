@@ -211,6 +211,20 @@ def test_queued_values_match_exact_evaluation():
             )
 
 
+def test_verify_mode_catches_a_wrong_queued_value(monkeypatch):
+    # Kernels off by a factor 1 + 1e-6 in the search's forward arithmetic
+    # alone: a child's distribution, and so the values below it, drift.
+    # Verify mode must value the children from the instance, not from the
+    # search's own kernels, rewards or distributions, to see it.
+    inst = sparse_instance(7, 3, 2, 4, 0.1)
+    config = GdsConfig(start=1, target=GoalSet.from_states([0, 2], 3))
+    rule_kernel = gds._rule_kernel
+    monkeypatch.setattr(gds, "_rule_kernel", lambda *args: rule_kernel(*args) * (1 + 1e-6))
+    assert gds_search(inst, config).found
+    with pytest.raises(QueueInvariantViolation, match="queued value"):
+        gds_search(inst, dataclasses.replace(config, verify=True))
+
+
 def test_found_value_equals_exact_policy_value():
     for seed in range(10):
         inst = sparse_instance(100 + seed)
