@@ -39,9 +39,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_states(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        states = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated state ids, got {text!r}")
+        states = []
+    if not states:
+        raise argparse.ArgumentTypeError(
+            f"expected one or more comma-separated state ids, got {text!r}"
+        )
+    return states
 
 
 def _parse_policy(text: str) -> TimeVaryingPolicy:

@@ -292,11 +292,16 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (2, ["solve-reach", instance_file, "--start", "0", "--target", "2"]),
         (1, ["solve-reach", gap, "--start", "0", "--target", "0"]),
         (64, ["solve-reach", instance_file, "--start", "0", "--target", "a,b"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", ""]),
         (0, ["solve-cover", frozen, "--start", "0", "--target", "0"]),
         (2, ["solve-cover", frozen, "--start", "0", "--target", "0,1"]),
         (64, ["solve-cover", frozen, "--target", "0"]),
+        (64, ["solve-cover", frozen, "--start", "0", "--target", ","]),
         (0, ["brute-check", instance_file, "--start", "0", "--target", "0,1,2"]),
         (2, ["brute-check", instance_file, "--start", "0", "--target", "2"]),
+        (64, ["brute-check", instance_file, "--start", "0", "--target", ""]),
+        (64, ["brute-check", instance_file, "--start", "0", "--target", "",
+              "--mode", "cover"]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", "0",
               "--mode", "nope"]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", "0",
@@ -324,6 +329,8 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
             assert report_of(proc)["command"] == argv[0]
         if expected == 64:
             assert proc.stdout == ""
+        if "--target" in argv and argv[argv.index("--target") + 1] in ("", ","):
+            assert "--target: expected one or more comma-separated state ids" in proc.stderr
         if "--gamma" in argv and argv[argv.index("--gamma") + 1] in ("1.5", "2"):
             assert proc.stdout == ""
             assert "gamma_range at ()" in proc.stderr
