@@ -165,9 +165,9 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     actions = np.array([rule.actions for rule in rules])
     kernels = _rule_kernel(instance, actions)
     # Row [t, r] is rule r's reward vector at epoch t.  Keep the helper's
-    # fancy index: its rows are strided, and BLAS sums a strided dot in another
-    # order than a contiguous one, so a contiguous copy changes the last
-    # bit of some values (the pinned-hash test in test_gds.py shows it).
+    # fancy index: its rows are strided, and BLAS sums a strided dot in
+    # another order than a contiguous one, so a contiguous copy changes the
+    # last bit of some values (the pinned-hash test in test_gds.py shows it).
     rewards = _rule_rewards(instance, actions)
     # Canonical rule indices per set of nonzero states, filled on first
     # use: the rules that move off action 0 only on those states.
@@ -282,7 +282,8 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         child_values = every_value[idx].tolist()
         child_masks = support_masks(child_dists).tolist()
         # Verify mode's exact values come from one backward pass over the
-        # instance alone: none of the arrays above may feed it.
+        # instance alone: none of the arrays above may feed it.  Without
+        # verify, the queued values fill the slot and go unchecked.
         exact_values = (
             evaluate_extensions(instance, actions[list(path)], actions[idx], config.start).tolist()
             if config.verify else child_values
