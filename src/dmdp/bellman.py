@@ -48,9 +48,6 @@ class ValueTable:
     def num_rows(self) -> int:
         return self.values.shape[0]
 
-    def start_values(self) -> np.ndarray:
-        return self.values[0]
-
 
 @dataclass(frozen=True)
 class QTable:
@@ -140,23 +137,25 @@ def evaluate_policy(
     return ValueTable(values)
 
 
-def evaluate_extensions(instance: DmdpInstance, prefix, rules, start: int) -> np.ndarray:
-    """Exact values from `start` of the policies prefix + (rule,), one per
-    action vector in `rules` (k, S), where `prefix` holds the action
-    vectors (n, S) of the shared first n rules.
+def evaluate_extensions(instance: DmdpInstance, prefix, rules, tail) -> np.ndarray:
+    """Exact values of the policies prefix + (rule,) + suffix: `prefix`
+    holds the action vectors (n, S) of the shared first n rules, `rules`
+    the action vectors (k, S) played at epoch n, and `tail` the value rows
+    (B, S) of the B suffixes from epoch n + 1 (one zero row for no suffix).
 
-    One backward pass serves all k policies: the rules' reward rows at
-    epoch n, then one _backup per prefix epoch from n - 1 down to 0.  Each
-    value is bit-equal to evaluate_policy(...).values[0, start].
+    One backward pass serves all k * B policies: a _backup of the rules
+    against the tail, then one per prefix epoch from n - 1 down to 0.
+    Returns the (k * B, S) rows, rule-major; row i * B + b is bit-equal to
+    evaluate_policy(...).values[0] of the policy with rule i and suffix b.
     """
     n = len(prefix)
-    # r + gamma * (P @ 0) is r + 0.0, which turns a reward of -0.0 into 0.0.
-    values = _rule_rewards(instance, rules, n) + 0.0
+    values = _backup(instance.gamma, _rule_rewards(instance, rules, n),
+                     _rule_kernel(instance, rules), tail)
     for t in reversed(range(n)):
         actions = prefix[t]
         values = _backup(instance.gamma, _rule_rewards(instance, actions, t)[None],
                          _rule_kernel(instance, actions)[None], values)
-    return values[:, start]
+    return values
 
 
 def bellman_value_operator(instance: DmdpInstance, values: ValueTable) -> ValueTable:

@@ -59,10 +59,6 @@ def _parse_policy(text: str) -> TimeVaryingPolicy:
         )
 
 
-def _policy_payload(policy: TimeVaryingPolicy) -> list[list[int]]:
-    return [list(rule.actions) for rule in policy.rules]
-
-
 def _parse_positive(text: str) -> int:
     try:
         number = int(text)
@@ -127,13 +123,13 @@ def _cmd_policy_iter(args):
     init = args.init if args.init is not None else EMPTY_POLICY
     result = policy_iteration(instance, init)
     payload = {
-        "policy": _policy_payload(result.policy),
+        "policy": result.policy.encoding(),
         "values": result.values.values,
         "iterations": result.iterations,
     }
     config = {
         "file": args.file,
-        "init": _policy_payload(init) if args.init is not None else None,
+        "init": init.encoding() if args.init is not None else None,
     }
     return digest(instance), config, payload, 0
 
@@ -156,7 +152,7 @@ def _cmd_solve(args):
             f.write(dumps_json(list(result.trace)) + "\n")
     payload = {
         "found": result.found,
-        "policy": _policy_payload(result.policy) if result.found else None,
+        "policy": result.policy.encoding() if result.found else None,
         "value": result.value,
         "goal": list(result.goal.members()) if result.found else None,
         "nodes_popped": result.nodes_popped,
@@ -185,7 +181,7 @@ def _cmd_brute_check(args):
     else:
         payload = {
             "found": True,
-            "policy": _policy_payload(best.policy),
+            "policy": best.policy.encoding(),
             "value": best.value,
             "goal": list(best.goal.members()),
         }
@@ -231,7 +227,7 @@ def _cmd_demo_static_gap(args):
         "static_values": statics,
         "static_best": max(statics.values()),
         "dynamic_best": float(star.values[0, 0]),
-        "dynamic_policy": _policy_payload(result.policy),
+        "dynamic_policy": result.policy.encoding(),
     }
     return digest(instance), {"gamma": args.gamma}, payload, 0
 

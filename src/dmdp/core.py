@@ -8,7 +8,6 @@ action per state per epoch), so a policy of length n controls epochs
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Literal
@@ -256,16 +255,34 @@ def make_static_gap_instance(gamma: float = 1.0 - 1e-9) -> DmdpInstance:
     )
 
 
+def rule_actions(instance: DmdpInstance, rules) -> np.ndarray:
+    """Action vectors (k, S) of the rules at the given indices.  Rule r is
+    the r-th action vector in lexicographic order, so its actions are the
+    base-|A| digits of r, state 0 most significant."""
+    S, A = instance.num_states, instance.num_actions
+    return np.asarray(rules, dtype=np.int64)[:, None] // A ** np.arange(S - 1, -1, -1) % A
+
+
+def rule_index(instance: DmdpInstance, actions) -> np.ndarray:
+    """Indices of the rules with the given action vectors (..., S)."""
+    S, A = instance.num_states, instance.num_actions
+    return np.asarray(actions) @ A ** np.arange(S - 1, -1, -1)
+
+
+def rule_table(instance: DmdpInstance, cap: int = RULE_ENUMERATION_CAP) -> np.ndarray:
+    """Action vectors (|A|^|S|, S) of every rule, row r holding rule r.
+    Raises EnumerationCapExceeded if the count would exceed cap."""
+    required = instance.num_actions**instance.num_states
+    if required > cap:
+        raise EnumerationCapExceeded(required=required, cap=cap)
+    return rule_actions(instance, np.arange(required))
+
+
 def enumerate_decision_rules(
     instance: DmdpInstance, cap: int = RULE_ENUMERATION_CAP
 ) -> Iterator[DecisionRule]:
     """Yield all |A|^|S| decision rules in lexicographic order of their
     state-indexed action vectors.  Raises EnumerationCapExceeded first if
     the count would exceed cap."""
-    required = instance.num_actions**instance.num_states
-    if required > cap:
-        raise EnumerationCapExceeded(required=required, cap=cap)
-    for actions in itertools.product(
-        range(instance.num_actions), repeat=instance.num_states
-    ):
-        yield DecisionRule(actions)
+    for actions in rule_table(instance, cap).tolist():
+        yield DecisionRule(tuple(actions))

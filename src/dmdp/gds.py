@@ -48,7 +48,8 @@ from .core import (
     DmdpInstance,
     InstanceValidationError,
     TimeVaryingPolicy,
-    enumerate_decision_rules,
+    rule_index,
+    rule_table,
     validate,
 )
 
@@ -161,8 +162,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
 
     S = instance.num_states
     strict = config.strict_subset
-    rules = list(enumerate_decision_rules(instance))
-    actions = np.array([rule.actions for rule in rules])
+    actions = rule_table(instance)
     kernels = _rule_kernel(instance, actions)
     # Row [t, r] is rule r's reward vector at epoch t.  Keep the helper's
     # fancy index: its rows are strided, and BLAS sums a strided dot in
@@ -173,9 +173,6 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     # use: the rules that move off action 0 only on those states.
     moved = actions != 0
     canonical: dict[bytes, np.ndarray] = {}
-    # Rule index of an action vector (rules are in lexicographic order),
-    # for verify mode.
-    place = instance.num_actions ** np.arange(S - 1, -1, -1)
 
     def tighter(a: int, b: int) -> bool:
         # Goal set a is at least as tight a constraint as b: inside b for
@@ -185,7 +182,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         return includes(a, b, strict) if config.mode == "reach" else includes(b, a, strict)
 
     def policy_of(path: tuple[int, ...]) -> TimeVaryingPolicy:
-        return TimeVaryingPolicy(tuple(rules[i] for i in path))
+        return TimeVaryingPolicy.from_actions(actions[list(path)])
 
     def members(mask: int) -> tuple[int, ...]:
         return GoalSet(mask, S).members()
@@ -270,7 +267,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         if config.verify:
             # Re-derive the classes: each rule's representative sets its
             # actions on zero-mass states to 0.
-            reps = (actions * (dist != 0.0)) @ place
+            reps = rule_index(instance, actions * (dist != 0.0))
             if not (np.array_equal(np.unique(reps), idx)
                     and every_dist.tobytes() == every_dist[reps].tobytes()
                     and every_value.tobytes() == every_value[reps].tobytes()):
@@ -285,7 +282,9 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         # instance alone: none of the arrays above may feed it.  Without
         # verify, the queued values fill the slot and go unchecked.
         exact_values = (
-            evaluate_extensions(instance, actions[list(path)], actions[idx], config.start).tolist()
+            evaluate_extensions(
+                instance, actions[list(path)], actions[idx], np.zeros((1, S))
+            )[:, config.start].tolist()
             if config.verify else child_values
         )
         for ri, child_value, child_mask, child_dist, exact in zip(
@@ -295,7 +294,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
             heapq.heappush(heap, (-child_value, depth + 1, child_path, child_mask, child_dist))
             if events is not None:
                 events.append({"event": "push", "depth": depth + 1, "value": child_value,
-                               "goal": members(child_mask), "rule": rules[ri].actions})
+                               "goal": members(child_mask), "rule": tuple(actions[ri].tolist())})
             if config.verify and abs(child_value - exact) > QUEUE_VALUE_TOL:
                 raise QueueInvariantViolation(
                     f"queued value {child_value!r} != exact value {exact!r} "

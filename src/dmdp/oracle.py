@@ -10,11 +10,11 @@ policies taken in enumeration order (shortest first, rules in
 lexicographic order within a length), so memory stays bounded whatever
 the budget allows.  A block's final distributions are built forward from
 the distribution its shared prefix reaches, one vector-matrix product per
-rule, and its values backward from the values of the shared suffixes, one
-matrix-vector product per rule.  goal_set and evaluate_policy compute
-the same products in the same order for a single policy, so every goal
-set and every value is bit-equal to theirs.  Ties keep the earliest
-policy in enumeration order.
+rule, and its values backward from the values of the shared suffixes by
+bellman.evaluate_extensions, one matrix-vector product per rule.
+goal_set and evaluate_policy compute the same products in the same order
+for a single policy, so every goal set and every value is bit-equal to
+theirs.  Ties keep the earliest policy in enumeration order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bellman import _backup, _rule_kernel, _rule_rewards
+from .bellman import _backup, _rule_kernel, _rule_rewards, evaluate_extensions
 from .composition import GoalSet, support_masks
 from .core import (
     DmdpError,
@@ -32,6 +32,7 @@ from .core import (
     EnumerationCapExceeded,
     TimeVaryingPolicy,
     enumerate_decision_rules,
+    rule_actions,
 )
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these names on this
@@ -78,29 +79,9 @@ def enumerate_policies(
     before yielding anything if the total count exceeds the budget."""
     _check_budget(instance, max_len, budget)
     rules = list(enumerate_decision_rules(instance, cap=budget))
-
-    def extend(prefix: tuple, length: int) -> Iterator[TimeVaryingPolicy]:
-        if length == 0:
-            yield TimeVaryingPolicy(prefix)
-            return
-        for rule in rules:
-            yield from extend(prefix + (rule,), length - 1)
-
     for n in range(1, max_len + 1):
-        yield from extend((), n)
-
-
-def _rule_actions(instance: DmdpInstance, rules: np.ndarray) -> np.ndarray:
-    """Action vectors (k, S) of the rules at the given enumeration indices."""
-    S, A = instance.num_states, instance.num_actions
-    return rules[:, None] // A ** np.arange(S - 1, -1, -1) % A
-
-
-def _rule_arrays(instance: DmdpInstance, rules) -> tuple[np.ndarray, np.ndarray]:
-    """Kernels (k, S, S) and reward rows (T, k, S) of the rules at the
-    given enumeration indices."""
-    actions = _rule_actions(instance, np.asarray(rules, dtype=np.int64))
-    return _rule_kernel(instance, actions), _rule_rewards(instance, actions)
+        for policy in itertools.product(rules, repeat=n):
+            yield TimeVaryingPolicy(policy)
 
 
 def _blocks(
@@ -122,25 +103,23 @@ def _blocks(
     # Values of every rule sequence over the last m epochs, shared by all blocks.
     tail = np.zeros((1, S))
     if m:
-        kernels, rewards = _rule_arrays(instance, np.arange(R))
+        every = rule_actions(instance, np.arange(R))
+        kernels = _rule_kernel(instance, every)
         for t in reversed(range(j + 1, n)):
-            tail = _backup(gamma, rewards[t], kernels, tail)
+            tail = _backup(gamma, _rule_rewards(instance, every, t), kernels, tail)
     for p, prefix in enumerate(itertools.product(range(R), repeat=j)):
-        prefix_kernels, prefix_rewards = _rule_arrays(instance, prefix)
+        prefix = rule_actions(instance, prefix)
         dist = np.zeros(S)
         dist[start] = 1.0
-        for t in range(j):
-            dist = dist @ prefix_kernels[t]
+        for kernel in _rule_kernel(instance, prefix):
+            dist = dist @ kernel
         for lo in range(0, R, width):
-            run = np.arange(lo, min(lo + width, R))
-            run_kernels, run_rewards = _rule_arrays(instance, run)
-            dists = dist @ run_kernels
+            run = rule_actions(instance, np.arange(lo, min(lo + width, R)))
+            dists = dist @ _rule_kernel(instance, run)
             for _ in range(m):
                 dists = (dists[:, None, None, :] @ kernels).reshape(-1, S)
             masks = support_masks(dists)
-            values = _backup(gamma, run_rewards[j], run_kernels, tail)
-            for t in reversed(range(j)):
-                values = _backup(gamma, prefix_rewards[t, [t]], prefix_kernels[[t]], values)
+            values = evaluate_extensions(instance, prefix, run, tail)
             yield (p * R + lo) * R**m, masks, values
 
 
@@ -148,7 +127,7 @@ def _policy_at(instance: DmdpInstance, n: int, index: int) -> TimeVaryingPolicy:
     """The policy of length n at `index` in enumeration order."""
     R = instance.num_actions**instance.num_states
     rules = [index // R ** (n - 1 - t) % R for t in range(n)]
-    return TimeVaryingPolicy.from_actions(_rule_actions(instance, np.array(rules)))
+    return TimeVaryingPolicy.from_actions(rule_actions(instance, rules))
 
 
 class BruteForceResult(NamedTuple):

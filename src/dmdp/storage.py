@@ -191,6 +191,14 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
     for key in doc:
         if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
             raise InstanceFormatError(f"unknown key {key!r}")
+    # Checked by exact type: json.loads gives int or float for numbers,
+    # and bool is a subclass of int.
+    for key in ("format_version", "num_states", "num_actions", "horizon"):
+        if type(doc[key]) is not int:
+            raise InstanceFormatError(f"key {key!r} must be an integer, got {doc[key]!r}")
+    for key in ("gamma", "r_max"):
+        if type(doc[key]) not in (int, float):
+            raise InstanceFormatError(f"key {key!r} must be a number, got {doc[key]!r}")
     if doc["format_version"] != FORMAT_VERSION:
         raise InstanceFormatError(
             f"unsupported format_version {doc['format_version']!r} "
@@ -203,17 +211,17 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
         raise InstanceFormatError("key 'metadata' must be an object")
     try:
         instance = DmdpInstance(
-            num_states=int(doc["num_states"]),
-            num_actions=int(doc["num_actions"]),
-            horizon=int(doc["horizon"]),
-            gamma=float(doc["gamma"]),
-            r_max=float(doc["r_max"]),
+            num_states=doc["num_states"],
+            num_actions=doc["num_actions"],
+            horizon=doc["horizon"],
+            gamma=doc["gamma"],
+            r_max=doc["r_max"],
             transition=np.array(doc["transition"], dtype=np.float64),
             reward=np.array(doc["reward"], dtype=np.float64),
             sign_mode=doc["sign_mode"],
             metadata=metadata,
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InstanceFormatError(f"malformed instance: {e}") from e
     if check:
         report = validate(instance)

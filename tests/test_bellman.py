@@ -118,29 +118,41 @@ def _with_negative_zero_rewards(instance, rng):
 
 
 def test_evaluate_extensions_is_bit_equal_to_evaluate_policy():
-    # Random paths and random sets of last rules, from every start state,
-    # on sparse and dense kernels; -0.0 rewards check the terminal step.
+    # Random paths, random sets of last rules and suffixes of 0-2 random
+    # rules, from every start state, on sparse and dense kernels; -0.0
+    # rewards check the terminal step.
     rng = np.random.default_rng(0)
     instances = [sparse_instance(seed, 3, 2, 4) for seed in range(4)]
     instances += [generate(seed, 3, 2, 4, 0.5) for seed in range(4)]
     instances += [sparse_instance(9, 4, 2, 4, 0.3), generate(9, 4, 2, 3, 0.9)]
     instances += [_with_negative_zero_rewards(inst, rng) for inst in instances[:2]]
-    checked = 0
+    checked = nonzero_tail = 0
     for inst in instances:
         actions = np.array([rule.actions for rule in enumerate_decision_rules(inst)])
         for n in range(inst.horizon):
             for _ in range(3):
                 path = rng.integers(len(actions), size=n)
                 last = np.flatnonzero(rng.random(len(actions)) < 0.5)
-                for start in range(inst.num_states):
-                    values = evaluate_extensions(inst, actions[path], actions[last], start)
-                    assert values.shape == (len(last),)
-                    for rule, value in zip(last, values.tolist()):
-                        policy = TimeVaryingPolicy.from_actions(actions[[*path, rule]])
-                        exact = float(evaluate_policy(inst, policy).values[0, start])
-                        assert value.hex() == exact.hex(), (path, rule, start)
-                        checked += 1
-    assert checked > 1000
+                length = int(rng.integers(min(2, inst.horizon - n - 1) + 1))
+                suffixes = rng.integers(len(actions), size=(int(rng.integers(1, 3)), length))
+                tail = np.array([
+                    evaluate_policy(inst, TimeVaryingPolicy.from_actions(actions[suffix]),
+                                    start_time=n + 1).values[0]
+                    for suffix in suffixes
+                ])
+                values = evaluate_extensions(inst, actions[path], actions[last], tail)
+                assert values.shape == (len(last) * len(suffixes), inst.num_states)
+                rows = iter(values.tolist())
+                for rule in last:
+                    for suffix in suffixes:
+                        policy = TimeVaryingPolicy.from_actions(actions[[*path, rule, *suffix]])
+                        exact = evaluate_policy(inst, policy).values[0].tolist()
+                        row = next(rows)
+                        assert [v.hex() for v in row] == [v.hex() for v in exact], (
+                            path, rule, suffix)
+                        checked += len(row)
+                        nonzero_tail += bool(len(suffix))
+    assert checked > 1000 and nonzero_tail > 100, (checked, nonzero_tail)
 
 
 def test_value_table_requires_zero_terminal_row():

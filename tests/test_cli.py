@@ -15,6 +15,7 @@ from dmdp import (
     GoalSet,
     brute_force_reach,
     digest,
+    dumps_instance,
     dumps_json,
     generate,
     load,
@@ -173,6 +174,12 @@ def test_runtime_errors_exit_1(tmp_path):
     proc = run_cli("value-star", str(bad))
     assert proc.returncode == 1
     assert "parse error" in proc.stderr
+    doc = json.loads(dumps_instance(make_static_gap_instance()))
+    doc["num_states"] = 2.7
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("value-star", str(bad))
+    assert proc.returncode == 1
+    assert "'num_states' must be an integer, got 2.7" in proc.stderr
 
 
 def test_trace_file_records_the_search(instance_file, tmp_path):

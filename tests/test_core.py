@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dmdp import (
     make_static_gap_instance,
     validate,
 )
+from dmdp.core import rule_actions, rule_index, rule_table
 
 
 def uniform_instance(num_states=2, num_actions=2, horizon=2, gamma=0.5, reward=None):
@@ -119,11 +121,27 @@ def test_enumerate_rule_counts():
     assert len(list(enumerate_decision_rules(inst))) == 27
 
 
+# (num_states, num_actions) pairs for the rule index checks.
+RULE_SHAPES = [(1, 1), (1, 3), (3, 2), (4, 3), (12, 2)]
+
+
 def test_enumerate_rule_order_is_lexicographic():
     rules = list(enumerate_decision_rules(uniform_instance(num_states=2)))
     assert [r.actions for r in rules] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # identical on repeat enumeration
     assert rules == list(enumerate_decision_rules(uniform_instance(num_states=2)))
+    # Rule r is the r-th action vector in lexicographic order, and the
+    # rule index inverts the decoding.
+    for S, A in RULE_SHAPES:
+        inst = uniform_instance(num_states=S, num_actions=A)
+        indices = np.arange(A**S)
+        table = rule_actions(inst, indices)
+        assert table.tolist() == [list(a) for a in itertools.product(range(A), repeat=S)]
+        assert np.array_equal(rule_table(inst), table)
+        assert [r.actions for r in enumerate_decision_rules(inst)] == [
+            tuple(row) for row in table.tolist()
+        ]
+        assert np.array_equal(rule_index(inst, table), indices)
 
 
 def test_enumerate_rule_cap():
@@ -131,6 +149,16 @@ def test_enumerate_rule_cap():
     with pytest.raises(EnumerationCapExceeded) as exc:
         list(enumerate_decision_rules(inst))
     assert exc.value.required == 2**13
+    for S, A in RULE_SHAPES + [(13, 2)]:
+        inst = uniform_instance(num_states=S, num_actions=A)
+        for cap in (A**S - 1, 4096):
+            if A**S <= cap:
+                continue
+            with pytest.raises(EnumerationCapExceeded) as table_exc:
+                rule_table(inst, cap)
+            with pytest.raises(EnumerationCapExceeded) as exc:
+                list(enumerate_decision_rules(inst, cap))
+            assert table_exc.value.required == exc.value.required == A**S
 
 
 def test_rule_and_policy_checks():

@@ -134,6 +134,30 @@ def test_parse_errors_name_the_problem(tmp_path):
     with pytest.raises(InstanceFormatError):
         parse_instance(dumps_json(doc))
 
+    # Header scalars keep their JSON type: no int() or float() coercion,
+    # and a bool is neither an integer nor a number.
+    bad = [
+        ("format_version", True), ("format_version", 1.0),
+        ("num_states", 2.7), ("num_states", "1"), ("num_actions", False),
+        ("horizon", "2"), ("horizon", 2.0),
+        ("gamma", "0.5"), ("gamma", False), ("gamma", None),
+        ("r_max", "1"), ("r_max", True), ("r_max", [1.0]),
+    ]
+    for key, value in bad:
+        doc = json.loads(dumps_instance(make_static_gap_instance()))
+        doc[key] = value
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(json.dumps(doc))
+        assert repr(key) in str(exc.value) and repr(value) in str(exc.value), (key, value)
+    doc = json.loads(dumps_instance(make_static_gap_instance()))
+    doc["gamma"], doc["r_max"] = 0, 1
+    inst = parse_instance(json.dumps(doc))
+    assert (inst.gamma, inst.r_max) == (0.0, 1.0)
+    doc["gamma"] = 10**400  # an integer no float can hold
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(json.dumps(doc))
+    assert "too large" in str(exc.value)
+
 
 def test_generation_is_reproducible_bitwise():
     a = generate(7, 3, 2, 3, 0.5)
