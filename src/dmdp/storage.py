@@ -4,10 +4,16 @@ Files are JSON with a fixed key set (format_version 1).  Writing goes
 through a small deterministic serializer that renders every float with 17
 significant digits (enough to reproduce any double exactly on reload), so
 identical instances always produce identical bytes — which is also what
-makes content digests and golden-report comparisons meaningful.  float64
-arrays are written row by row, one format call per innermost row, with
-the bytes their nested lists would give.  save() returns the sha256 of the
-bytes it wrote, which is digest() of the instance.
+makes content digests and golden-report comparisons meaningful.  A
+float64 array is written with the bytes its nested lists would give: a
+skeleton of brackets and separators built from its shape, filled with one
+token per entry, KERNEL_BLOCK entries at a time.  Arrays of at least
+KERNEL_MIN_SIZE entries get their tokens from an exact array kernel for
+1e-4 <= |x| < 1e16 (Dekker's error-free product with an exact power of
+ten gives the 17 correctly rounded digits); zeros, entries outside that
+window and smaller arrays take one _format_float call each.  save()
+returns the sha256 of the bytes it wrote, which is digest() of the
+instance.
 
 The generator uses a self-contained xorshift64* PRNG seeded per (kind,
 state, action) stream through a splitmix64-style mixer, so instances are
@@ -19,6 +25,7 @@ side in uint64 arrays, one step of all of them per draw.  The exact contract is 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from typing import Any
@@ -69,7 +76,172 @@ def _wrap(items: list[str], pad: str, brackets: str) -> str:
         return brackets
     inner = pad + "  "
     sep = ",\n" + inner
-    return brackets[0] + "\n" + inner + sep.join(items) + "\n" + pad + brackets[1]
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{pad}{brackets[1]}"
+
+
+# The exact 17-digit kernel.  A double x with 1e-4 <= |x| < 1e16 prints
+# under "%.17g" in fixed notation as the 17 digits of D = |x| * 10**(16 - E)
+# rounded half to even, E = floor(log10 |x|), with the point after digit
+# E + 1 (or "0." and -E - 1 zeros first when E < 0), trailing zeros of the
+# fraction stripped and ".0" kept on integral values.  10**(16 - E) is an
+# exact double for every E in the window, so Dekker's two-product gives
+# the unrounded |x| * 10**(16 - E) as hi + lo.
+_WINDOW = (1e-4, 1e16)
+# Arrays with fewer entries than this are formatted by _format_float alone:
+# the kernel's fixed numpy cost ties with one dtoa call per entry at 128
+# entries and wins by 1.4x at 256 (x86_64, 2 vCPUs, numpy 2.4).
+KERNEL_MIN_SIZE = 256
+# Entries formatted at once, so that the kernel's temporaries and token
+# list stay the same size whatever the array's.
+KERNEL_BLOCK = 1 << 10
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a == hi + lo exactly, each with at most 26 bits."""
+    t = a * _VELTKAMP
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+# A token is assembled from a 24-byte source row per entry: three NULs, the
+# 17 digits of D (bytes 3..19), then "0", ".", "-" and a NUL.  Digits come
+# as four-digit groups, one uint32 of ASCII bytes each, read from a table.
+_ROW = 24
+_LEADS = np.frombuffer(b"".join(b"\0\0\0" + b"%d" % i for i in range(10)), np.uint32)
+_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)), np.uint32)
+_TAIL = np.frombuffer(b"0.-\0", np.uint32)[0]
+_ZERO, _POINT, _MINUS, _NUL = 20, 21, 22, 23
+_EXPONENTS = range(-4, 16)
+_WIDTH = 23  # "-0.000" and 17 digits
+
+
+def _layout(negative: bool, e: int) -> list[int]:
+    """Source bytes of the unstripped token of a value with exponent e."""
+    digits = [3 + j for j in range(17)]
+    if e < 0:
+        body = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits
+    else:
+        body = digits[: e + 1] + [_POINT] + digits[e + 1 :]
+    return [_MINUS] * negative + body
+
+
+_LAYOUTS = [_layout(negative, e) for negative in (False, True) for e in _EXPONENTS]
+_LAYOUT = np.array([row + [_NUL] * (_WIDTH - len(row)) for row in _LAYOUTS], dtype=np.intp)
+_LENGTH = np.array([len(row) for row in _LAYOUTS], dtype=np.intp)
+# The most trailing zeros that can go: all of the 16 - E fraction digits
+# but one, which keeps ".0" on integral values.
+_STRIP = np.array([15 - e for e in _EXPONENTS] * 2, dtype=np.intp)
+_TOKEN = np.dtype(("U", _WIDTH))
+
+
+def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo == a * 10**p exactly (Dekker's two-product)."""
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    hi = a * _POW10[p]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _kernel_tokens(x: np.ndarray) -> list[str]:
+    """[_format_float(v) for v in x] for a 1-D float64 array x, computed
+    exactly with array operations for the entries inside the window; the
+    others (zeros, tiny, huge and non-finite entries) go to _format_float,
+    in order, so the first non-finite entry raises."""
+    a = np.abs(x)
+    inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
+    a[~inside] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, 16 - e)
+    # log10 may round across a power of ten, so E moves by one where the
+    # exact hi + lo lies outside [10**16, 10**17).  The rounded D could not
+    # tell: the double 1e-6 lies below 10**-6 but rounds to 10**16 at E = -6.
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    if up.any() or down.any():
+        e += up
+        e -= down
+        hi, lo = _scaled(a, 16 - e)
+    # hi >= 2**53 is an even integer, so rint(lo) rounds hi + lo half to
+    # even.  D never rounds up to 10**17: 10**0 .. 10**15 are doubles, and
+    # the doubles nearest 10**-3 .. 10**-1 lie above them or more than
+    # half a unit of the 17th digit below.
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    n = len(x)
+    source = np.empty((n, _ROW // 4), np.uint32)
+    for word in (4, 3, 2, 1):
+        q = d // 10**4
+        source[:, word] = _QUADS[d - q * 10**4]
+        d = q
+    source[:, 0] = _LEADS[d]
+    source[:, 5] = _TAIL
+    source = source.view(np.uint8)
+    trailing_zeros = (source[:, 19:2:-1] != ord("0")).argmax(axis=1)
+    key = (x < 0) * len(_EXPONENTS) + (e - _EXPONENTS[0])
+    index = _LAYOUT[key]
+    index += np.arange(0, n * _ROW, _ROW)[:, None]
+    chars = source.ravel()[index]
+    length = _LENGTH[key] - np.minimum(trailing_zeros, _STRIP[key])
+    chars *= np.arange(_WIDTH) < length[:, None]
+    tokens = chars.astype(np.uint32).view(_TOKEN).ravel().tolist()
+    for i in np.flatnonzero(~inside).tolist():
+        tokens[i] = _format_float(float(x[i]))
+    return tokens
+
+
+def _skeleton(shape: tuple[int, ...], pad: str) -> list[str]:
+    """The n + 1 texts around the n entries of an array of this shape in
+    C order, whose container lines are indented by pad: text i precedes
+    entry i, and text n closes the array."""
+    ndim = len(shape)
+    pads = [pad + "  " * depth for depth in range(ndim + 1)]
+
+    def opening(depth: int) -> str:
+        inner = "".join("\n" + pads[k] + "[" for k in range(depth + 1, ndim))
+        return "[" + inner + "\n" + pads[ndim]
+
+    def closing(depth: int) -> str:
+        return "".join("\n" + pads[k] + "]" for k in range(ndim - 1, depth - 1, -1))
+
+    n = math.prod(shape)
+    texts = [",\n" + pads[ndim]] * (n + 1)
+    stride = 1
+    # Entry i opens a new container at depth d when i is a multiple of the
+    # size of one; deeper boundaries are written first and overwritten.
+    for depth in range(ndim - 1, 0, -1):
+        stride *= shape[depth]
+        boundary = closing(depth) + ",\n" + pads[depth] + opening(depth)
+        texts[stride:n:stride] = [boundary] * ((n - 1) // stride)
+    texts[0] = opening(0)
+    texts[n] = closing(0)
+    return texts
+
+
+def _array_text(value: np.ndarray, pad: str) -> str:
+    """The text of a float64 array with at least one dimension and entry:
+    the bytes of value.tolist(), one block of entries at a time."""
+    flat = value.ravel()
+    n = flat.size
+    texts = _skeleton(value.shape, pad)
+    chunks = []
+    for start in range(0, n, KERNEL_BLOCK):
+        block = flat[start : start + KERNEL_BLOCK]
+        if n < KERNEL_MIN_SIZE:
+            tokens = [_format_float(v) for v in block.tolist()]
+        else:
+            tokens = _kernel_tokens(block)
+        parts = [""] * (2 * len(tokens))
+        parts[0::2] = texts[start : start + len(tokens)]
+        parts[1::2] = tokens
+        chunks.append("".join(parts))
+    chunks.append(texts[n])
+    return "".join(chunks)
 
 
 def _text(value: Any, pad: str) -> str:
@@ -87,29 +259,7 @@ def _text(value: Any, pad: str) -> str:
     if isinstance(value, np.ndarray):
         if value.dtype != np.float64 or value.ndim == 0 or value.size == 0:
             return _text(value.tolist(), pad)
-        # Row by row, with the bytes of the list path: one "%" call per
-        # leaf row, with "%.1f" where ".17g" would print an integer (an
-        # integral entry below 1e17 in magnitude).  tolist() runs per row,
-        # so no whole-array list of Python floats is ever held.
-        finite = np.isfinite(value)
-        if not finite.all():
-            _format_float(float(value[~finite][0]))  # raises for it
-        rows = value.reshape(-1, value.shape[-1])
-        integral = (rows == np.floor(rows)) & (np.abs(rows) < 1e17)
-        leaf = pad + "  " * (value.ndim - 1)
-        plain = _wrap(["%.17g"] * rows.shape[1], leaf, "[]")
-        texts = []
-        for row, ints, mixed in zip(rows, integral, integral.any(axis=1).tolist()):
-            template = plain
-            if mixed:
-                specs = ["%.1f" if i else "%.17g" for i in ints.tolist()]
-                template = _wrap(specs, leaf, "[]")
-            texts.append(template % tuple(row.tolist()))
-        for depth in reversed(range(value.ndim - 1)):
-            n = value.shape[depth]
-            outer = pad + "  " * depth
-            texts = [_wrap(texts[i : i + n], outer, "[]") for i in range(0, len(texts), n)]
-        return texts[0]
+        return _array_text(value, pad)
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         brackets = "[]"
@@ -174,6 +324,28 @@ def digest(instance: DmdpInstance) -> str:
     return _file_digest(_document_bytes(instance))
 
 
+def _number_array(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float64 array whose entries were all JSON numbers.
+
+    np.array would coerce "0.25" and true to floats and null to NaN; they
+    are rejected with the index of the first in C order instead."""
+    value = doc[key]
+    array = np.array(value, dtype=np.float64)
+    entries = [value]
+    for _ in range(array.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if not set(map(type, entries)) <= {int, float}:
+        for index in np.ndindex(array.shape):
+            entry = value
+            for i in index:
+                entry = entry[i]
+            if type(entry) not in (int, float):
+                raise InstanceFormatError(
+                    f"key {key!r} entry {list(index)} must be a number, got {entry!r}"
+                )
+    return array
+
+
 def parse_instance(text: str, check: bool = True) -> DmdpInstance:
     """Parse instance JSON; with check=True the result must validate
     under its declared sign_mode or InstanceValidationError is raised."""
@@ -183,6 +355,8 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
         raise InstanceFormatError(
             f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise InstanceFormatError(f"parse error: {e}") from e
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level value must be an object")
     for key in _REQUIRED_KEYS:
@@ -216,8 +390,8 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
             horizon=doc["horizon"],
             gamma=doc["gamma"],
             r_max=doc["r_max"],
-            transition=np.array(doc["transition"], dtype=np.float64),
-            reward=np.array(doc["reward"], dtype=np.float64),
+            transition=_number_array(doc, "transition"),
+            reward=_number_array(doc, "reward"),
             sign_mode=doc["sign_mode"],
             metadata=metadata,
         )

@@ -180,6 +180,21 @@ def test_runtime_errors_exit_1(tmp_path):
     proc = run_cli("value-star", str(bad))
     assert proc.returncode == 1
     assert "'num_states' must be an integer, got 2.7" in proc.stderr
+    for key, entry, shown in (("transition", "0.25", "'0.25'"), ("reward", True, "True"),
+                              ("transition", None, "None")):
+        doc = json.loads(dumps_instance(make_static_gap_instance()))
+        doc[key][0][0][0] = entry
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("validate", str(bad))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            f"error: key {key!r} entry [0, 0, 0] must be a number, got {shown}\n"
+        )
+    # json.loads raises RecursionError past its nesting limit
+    bad.write_text('{"transition": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    proc = run_cli("validate", str(bad))
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: parse error")
 
 
 def test_trace_file_records_the_search(instance_file, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dmdp import (
     save,
     validate,
 )
+from dmdp import storage
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -159,6 +161,31 @@ def test_parse_errors_name_the_problem(tmp_path):
     assert "too large" in str(exc.value)
 
 
+def test_array_entries_must_be_json_numbers():
+    # np.array would read "0.25" and true as floats and null as NaN.
+    for key, index in (("transition", [0, 1, 0]), ("reward", [1, 0, 1])):
+        for bad in ("0.25", True, False, None):
+            doc = json.loads(dumps_instance(make_static_gap_instance()))
+            row = doc[key]
+            for i in index[:-1]:
+                row = row[i]
+            row[index[-1]] = bad
+            with pytest.raises(InstanceFormatError) as exc:
+                parse_instance(json.dumps(doc))
+            assert str(exc.value) == (
+                f"key {key!r} entry {index} must be a number, got {bad!r}"
+            )
+    doc = json.loads(dumps_instance(make_static_gap_instance()))
+    doc["reward"][0][0][0] = 0  # a JSON integer is a number
+    assert parse_instance(json.dumps(doc)).reward[0, 0, 0] == 0.0
+
+
+def test_nesting_too_deep_for_the_parser_is_a_format_error():
+    text = '{"transition": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(InstanceFormatError, match="parse error"):
+        parse_instance(text)
+
+
 def test_generation_is_reproducible_bitwise():
     a = generate(7, 3, 2, 3, 0.5)
     b = generate(7, 3, 2, 3, 0.5)
@@ -291,6 +318,10 @@ def _awkward_arrays():
     mixed[1, 2] = np.round(mixed[1, 2])
     mixed[2, 0] = rng.choice(AWKWARD, 5)
     reward = generate(4, 5, 3, 4, 0.5).reward
+    # Every magnitude the kernel sees or hands back, across many blocks.
+    big = rng.standard_normal((200, 4, 200)) * 10.0 ** rng.integers(-8, 20, (200, 4, 200))
+    big[rng.random(big.shape) < 0.2] = 0.0
+    big[::3] = np.round(big[::3])
     return {
         "0-d": np.array(-0.0),
         "0-d-fraction": np.array(0.1),
@@ -308,6 +339,7 @@ def _awkward_arrays():
         "reward.T": reward.T,
         "mixed[::2, 1:, ::-3]": mixed[::2, 1:, ::-3],
         "integers": np.arange(-12.0, 12.0).reshape(2, 3, 4),
+        "(200, 4, 200)": big,
     }
 
 
@@ -317,6 +349,20 @@ def test_float_arrays_are_written_as_their_lists(name):
     assert arr.dtype == np.float64
     assert dumps_json(arr) == dumps_json(arr.tolist())
     assert dumps_json({"a": [arr]}) == dumps_json({"a": [arr.tolist()]})
+
+
+# Every awkward array but the largest is smaller than the kernel's
+# crossover, so these tests run again with the crossover at 0.
+@pytest.mark.parametrize("name", list(_awkward_arrays()))
+def test_float_arrays_are_written_as_their_lists_by_the_kernel(name, monkeypatch):
+    monkeypatch.setattr(storage, "KERNEL_MIN_SIZE", 0)
+    test_float_arrays_are_written_as_their_lists(name)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entry_of_an_array_is_rejected_by_the_kernel(bad, monkeypatch):
+    monkeypatch.setattr(storage, "KERNEL_MIN_SIZE", 0)
+    test_non_finite_entry_of_an_array_is_rejected_as_in_a_list(bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -333,3 +379,75 @@ def test_non_finite_entry_of_an_array_is_rejected_as_in_a_list(bad):
                 dumps_json(view)
             assert str(from_array.value) == str(from_list.value)
             assert str(from_array.value).startswith("cannot serialize non-finite float")
+
+
+# ---------------------------------------------------------------------------
+# the exact 17-digit kernel
+
+
+def _kernel_sweep_values():
+    """About 1.2 million doubles, most inside the kernel's window."""
+    rng = np.random.default_rng(17)
+    patterns = rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64)
+    decades = [
+        sign * rng.uniform(1.0, 10.0, 15_000) * 10.0**k
+        for k in range(-8, 19)
+        for sign in (1.0, -1.0)
+    ]
+    integral = [
+        np.floor(rng.uniform(0.0, 2.0**53, 20_000)),
+        -np.floor(10.0 ** rng.uniform(0.0, 17.0, 20_000)),
+    ]
+    # 10**k and its 20 neighbours on each side, for every k a double holds.
+    # Some round up to the next power at 17 digits (the double 1e-14 lies
+    # just below 10**-14), though none inside the kernel's window.
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = (powers.view(np.int64)[:, None] + np.arange(-20, 21)).view(np.float64).ravel()
+    # Exact decimal ties at the 17th digit (about 60,000): n + 2**(E - 17)
+    # times 10**(16 - E) ends in .5, for integral n with E = floor(log10 n),
+    # wherever the double holds n + 2**(E - 17).
+    ties = [
+        np.floor(rng.uniform(10.0**e, 10.0 ** (e + 1), 2_000)) + odd * 2.0 ** (e - 17)
+        for e in range(16)
+        for odd in (1, 3)
+    ]
+    named = [1234567890123456.25, 1234567890123456.75, 1e-6, 1e-4, 1e16, 0.0, -0.0]
+    values = np.concatenate(
+        [patterns, *decades, *integral, near, -near, *ties, named]
+    )
+    return values[np.isfinite(values)]
+
+
+def test_kernel_tokens_are_those_of_format_float():
+    values = _kernel_sweep_values()
+    expected = [storage._format_float(v) for v in values.tolist()]
+    inside = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)
+    assert len(values) > 10**6 and inside.sum() > len(values) // 2
+    assert storage._kernel_tokens(values) == expected
+    assert expected[-7:] == [
+        "1234567890123456.2", "1234567890123456.8", "9.9999999999999995e-07",
+        "0.0001", "10000000000000000.0", "0.0", "-0.0",
+    ]
+
+
+@pytest.mark.parametrize("error", [-0.5, 0.5])
+def test_kernel_corrects_a_log10_off_by_one(error, monkeypatch):
+    # A log10 that rounds across a power of ten puts E one off; this one
+    # does so for about half of the values, in one direction.
+    values = _kernel_sweep_values()[300_000:450_000]
+    expected = [storage._format_float(v) for v in values.tolist()]
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+    assert storage._kernel_tokens(values) == expected
+
+
+def test_float_array_text_is_written_in_blocks():
+    arr = np.random.default_rng(3).standard_normal((200, 4, 200))
+    length = len(dumps_json(arr))
+    tracemalloc.start()
+    try:
+        dumps_json(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * length
