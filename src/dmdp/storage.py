@@ -15,15 +15,29 @@ window and smaller arrays take one _format_float call each.  save()
 returns the sha256 of the bytes it wrote, which is digest() of the
 instance.
 
+read() returns an instance and its digest.  A file whose bytes are
+exactly the canonical text of the instance it holds, as every file save()
+writes is, has the sha256 of its bytes as digest, and its arrays are read
+by the inverse of the kernel: each token is decoded as +-N / 10**f with
+array operations, KERNEL_BLOCK tokens at a time, and kept only where the
+kernel's digits of the double it gives spell that token byte for byte
+(after at most one step to a neighbouring double).  The header and every
+bracket, comma and indentation byte must be the writer's too.  Any other
+file, and files with fewer than KERNEL_MIN_SIZE array entries, are parsed
+whole by json.loads and serialized again for the digest, with the same
+values, digest and errors either way.
+
 The generator uses a self-contained xorshift64* PRNG seeded per (kind,
 state, action) stream through a splitmix64-style mixer, so instances are
 reproducible bit-for-bit from the seed alone, independent of numpy
 version or platform.  The streams are independent, so they advance side by
-side in uint64 arrays, one step of all of them per draw.  The exact contract is documented in the README.
+side in uint64 arrays, one step of all of them per draw.  The exact
+contract is documented in the README.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -31,6 +45,7 @@ import math
 from typing import Any
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DmdpError, DmdpInstance, InstanceValidationError, validate
 
@@ -91,9 +106,11 @@ _WINDOW = (1e-4, 1e16)
 # the kernel's fixed numpy cost ties with one dtoa call per entry at 128
 # entries and wins by 1.4x at 256 (x86_64, 2 vCPUs, numpy 2.4).
 KERNEL_MIN_SIZE = 256
-# Entries formatted at once, so that the kernel's temporaries and token
-# list stay the same size whatever the array's.
-KERNEL_BLOCK = 1 << 10
+# Entries formatted or read at once, so that the kernels' temporaries and
+# token lists stay the same size whatever the array's.  Blocks of 4,096
+# write an S=64 file in 18 ms against 21 ms for blocks of 1,024, and read
+# the S=200 file about a quarter faster (medians, same machine).
+KERNEL_BLOCK = 1 << 12
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _VELTKAMP = 134217729.0  # 2**27 + 1
@@ -148,14 +165,10 @@ def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _kernel_tokens(x: np.ndarray) -> list[str]:
-    """[_format_float(v) for v in x] for a 1-D float64 array x, computed
-    exactly with array operations for the entries inside the window; the
-    others (zeros, tiny, huge and non-finite entries) go to _format_float,
-    in order, so the first non-finite entry raises."""
-    a = np.abs(x)
-    inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
-    a[~inside] = 1.0
+def _kernel_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E and the int64 digits D of each double in a, all of them with
+    1e-4 <= a < 1e16: a prints under "%.17g" as the 17 digits of D with
+    the point after digit E + 1."""
     e = np.floor(np.log10(a)).astype(np.intp)
     hi, lo = _scaled(a, 16 - e)
     # log10 may round across a power of ten, so E moves by one where the
@@ -171,7 +184,18 @@ def _kernel_tokens(x: np.ndarray) -> list[str]:
     # even.  D never rounds up to 10**17: 10**0 .. 10**15 are doubles, and
     # the doubles nearest 10**-3 .. 10**-1 lie above them or more than
     # half a unit of the 17th digit below.
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _kernel_tokens(x: np.ndarray) -> list[str]:
+    """[_format_float(v) for v in x] for a 1-D float64 array x, computed
+    exactly with array operations for the entries inside the window; the
+    others (zeros, tiny, huge and non-finite entries) go to _format_float,
+    in order, so the first non-finite entry raises."""
+    a = np.abs(x)
+    inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
+    a[~inside] = 1.0
+    e, d = _kernel_digits(a)
 
     n = len(x)
     source = np.empty((n, _ROW // 4), np.uint32)
@@ -195,11 +219,12 @@ def _kernel_tokens(x: np.ndarray) -> list[str]:
     return tokens
 
 
-def _skeleton(shape: tuple[int, ...], pad: str) -> list[str]:
-    """The n + 1 texts around the n entries of an array of this shape in
-    C order, whose container lines are indented by pad: text i precedes
-    entry i, and text n closes the array."""
-    ndim = len(shape)
+def _separators(ndim: int, pad: str) -> tuple[list[str], str]:
+    """The texts between the entries of an array with ndim dimensions,
+    whose container lines are indented by pad: texts[d] precedes an entry
+    that is the first of a container at depth d and of none shallower
+    (texts[ndim]: of none, texts[0]: the first entry), and the second
+    value closes the array."""
     pads = [pad + "  " * depth for depth in range(ndim + 1)]
 
     def opening(depth: int) -> str:
@@ -209,17 +234,28 @@ def _skeleton(shape: tuple[int, ...], pad: str) -> list[str]:
     def closing(depth: int) -> str:
         return "".join("\n" + pads[k] + "]" for k in range(ndim - 1, depth - 1, -1))
 
+    texts = [opening(0)]
+    texts += [closing(depth) + ",\n" + pads[depth] + opening(depth) for depth in range(1, ndim)]
+    texts.append(",\n" + pads[ndim])
+    return texts, closing(0)
+
+
+def _skeleton(shape: tuple[int, ...], pad: str) -> list[str]:
+    """The n + 1 texts around the n entries of an array of this shape in
+    C order, whose container lines are indented by pad: text i precedes
+    entry i, and text n closes the array."""
+    ndim = len(shape)
+    between, closing = _separators(ndim, pad)
     n = math.prod(shape)
-    texts = [",\n" + pads[ndim]] * (n + 1)
+    texts = [between[ndim]] * (n + 1)
     stride = 1
     # Entry i opens a new container at depth d when i is a multiple of the
     # size of one; deeper boundaries are written first and overwritten.
     for depth in range(ndim - 1, 0, -1):
         stride *= shape[depth]
-        boundary = closing(depth) + ",\n" + pads[depth] + opening(depth)
-        texts[stride:n:stride] = [boundary] * ((n - 1) // stride)
-    texts[0] = opening(0)
-    texts[n] = closing(0)
+        texts[stride:n:stride] = [between[depth]] * ((n - 1) // stride)
+    texts[0] = between[0]
+    texts[n] = closing
     return texts
 
 
@@ -324,39 +360,66 @@ def digest(instance: DmdpInstance) -> str:
     return _file_digest(_document_bytes(instance))
 
 
-def _number_array(doc: dict, key: str) -> np.ndarray:
+def _entries(value: Any):
+    """(index path, entry) for value and for everything nested in it, in
+    document order."""
+    stack = [([], value)]
+    while stack:
+        path, entry = stack.pop()
+        yield path, entry
+        if isinstance(entry, dict):
+            items = list(entry.items())
+        elif isinstance(entry, list):
+            items = list(enumerate(entry))
+        else:
+            continue
+        stack.extend((path + [k], item) for k, item in reversed(items))
+
+
+def _locate_bad_entry(key: str, value: Any, shape: tuple[int, ...]) -> None:
+    """Raise InstanceFormatError at the first entry of doc[key] == value, in
+    C order, that is not a JSON number or breaks the nesting of shape."""
+    for index, entry in _entries(value):
+        depth = len(index)
+        if depth == len(shape):
+            if type(entry) not in (int, float):
+                raise InstanceFormatError(
+                    f"key {key!r} entry {index} must be a number, got {entry!r}"
+                )
+        elif not isinstance(entry, list):
+            raise InstanceFormatError(
+                f"key {key!r} entry {index} must be a list of {shape[depth]} entries, "
+                f"got {entry!r}"
+            )
+        elif len(entry) != shape[depth]:
+            raise InstanceFormatError(
+                f"key {key!r} entry {index} has {len(entry)} entries, expected {shape[depth]}"
+            )
+
+
+def _number_array(doc: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     """doc[key] as a float64 array whose entries were all JSON numbers.
 
     np.array would coerce "0.25" and true to floats and null to NaN; they
-    are rejected with the index of the first in C order instead."""
+    are rejected with the index of the first in C order instead.  So is
+    the first entry of a ragged array that breaks the declared shape."""
     value = doc[key]
-    array = np.array(value, dtype=np.float64)
+    try:
+        array = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        _locate_bad_entry(key, value, shape)
+        raise
     entries = [value]
     for _ in range(array.ndim):
         entries = itertools.chain.from_iterable(entries)
     if not set(map(type, entries)) <= {int, float}:
-        for index in np.ndindex(array.shape):
-            entry = value
-            for i in index:
-                entry = entry[i]
-            if type(entry) not in (int, float):
-                raise InstanceFormatError(
-                    f"key {key!r} entry {list(index)} must be a number, got {entry!r}"
-                )
+        _locate_bad_entry(key, value, array.shape)
     return array
 
 
-def parse_instance(text: str, check: bool = True) -> DmdpInstance:
-    """Parse instance JSON; with check=True the result must validate
-    under its declared sign_mode or InstanceValidationError is raised."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InstanceFormatError(
-            f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from e
-    except RecursionError as e:
-        raise InstanceFormatError(f"parse error: {e}") from e
+def _document_instance(doc: Any, array) -> DmdpInstance:
+    """The instance a parsed instance document describes, its float64
+    arrays made by array(key, declared shape)."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level value must be an object")
     for key in _REQUIRED_KEYS:
@@ -383,20 +446,31 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise InstanceFormatError("key 'metadata' must be an object")
+    # json.loads reads NaN, Infinity and 1e999 as floats that no canonical
+    # file can spell.
+    for path, entry in _entries(metadata):
+        if isinstance(entry, float) and not math.isfinite(entry):
+            raise InstanceFormatError(
+                f"key 'metadata' entry {path} must be a finite number, got {entry!r}"
+            )
+    S, A, T = doc["num_states"], doc["num_actions"], doc["horizon"]
     try:
-        instance = DmdpInstance(
-            num_states=doc["num_states"],
-            num_actions=doc["num_actions"],
-            horizon=doc["horizon"],
+        return DmdpInstance(
+            num_states=S,
+            num_actions=A,
+            horizon=T,
             gamma=doc["gamma"],
             r_max=doc["r_max"],
-            transition=_number_array(doc, "transition"),
-            reward=_number_array(doc, "reward"),
+            transition=array("transition", (S, A, S)),
+            reward=array("reward", (T, S, A)),
             sign_mode=doc["sign_mode"],
             metadata=metadata,
         )
     except (TypeError, ValueError, OverflowError) as e:
         raise InstanceFormatError(f"malformed instance: {e}") from e
+
+
+def _validated(instance: DmdpInstance, check: bool) -> DmdpInstance:
     if check:
         report = validate(instance)
         if not report.ok:
@@ -404,9 +478,229 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
     return instance
 
 
+def parse_instance(text: str, check: bool = True) -> DmdpInstance:
+    """Parse instance JSON; with check=True the result must validate
+    under its declared sign_mode or InstanceValidationError is raised."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InstanceFormatError(
+            f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
+        ) from e
+    except RecursionError as e:
+        raise InstanceFormatError(f"parse error: {e}") from e
+    return _validated(_document_instance(doc, functools.partial(_number_array, doc)), check)
+
+
+# ---------------------------------------------------------------------------
+# Reading canonical files
+#
+# A file that save wrote is read without json.loads for its arrays, and its
+# digest is the sha256 of its bytes.  The reader accepts the bytes only
+# where they are exactly dumps_instance of the instance it returns: the
+# header is the one dumps_json writes for it, every text between two array
+# entries is the writer's skeleton text, and every entry's token is the
+# one _format_float prints for the double the reader returns.  17
+# significant digits round-trip, so json.loads would have read that same
+# double.  Any other file goes to parse_instance.
+
+_TRANSITION = b',\n  "transition": '
+_REWARD = b',\n  "reward": '
+_END = b"\n}\n"
+_COLUMNS = np.arange(_ROW)
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The numbers whose eight decimal digits, most significant first, are
+    the bytes of each little-endian int64 in w (SWAR: pairs, then quads,
+    then the eight)."""
+    w = (w * 10 + (w >> 8)) & 0x00FF00FF00FF00FF
+    w = (w * 100 + (w >> 16)) & 0x0000FFFF0000FFFF
+    return (w * 10000 + (w >> 32)) & 0xFFFFFFFF
+
+
+def _agrees(x, fraction, digits, length) -> np.ndarray:
+    """Whether _format_float(x) is, for each x inside the kernel's window,
+    the token of `length` bytes with `fraction` digits after its point,
+    whose digits, read as one integer with a 0 in place of the point, make
+    `digits`.  The token itself has only digits, one point and a leading
+    "-" where x < 0."""
+    a = np.abs(x)
+    inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
+    a[~inside] = 1.0
+    e, d = _kernel_digits(a)
+    # The text drops t = 16 - E - fraction trailing zeros of D: all of
+    # them, or all but the one after the point of an integral value.
+    t = 16 - e - fraction
+    scale = _POW10_INT[np.minimum(np.maximum(t, 0), 16)]
+    kept = d // scale
+    ok = inside & (t >= 0) & (fraction >= 1) & (kept * scale == d)
+    ok &= (kept % 10 != 0) | (fraction == 1)
+    scale = _POW10_INT[np.minimum(fraction, 17)]
+    whole = kept // scale
+    ok &= whole * scale * 10 + (kept - whole * scale) == digits
+    return ok & (length == (x < 0) + np.maximum(e, 0) + 2 + fraction)
+
+
+def _read_tokens(data: bytes, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The doubles whose canonical tokens are data[starts[i]:ends[i]], given
+    rows[i], the _ROW bytes that end at ends[i]; None if one is not."""
+    length = ends - starts
+    # Decode each token, right-aligned in its row, as x = +-N / 10**f: its
+    # digits make one integer with a 0 in place of the point, and N is
+    # that integer without the 0.
+    within = _COLUMNS >= (_ROW - length)[:, None]
+    point = (rows == ord(".")) & within
+    fraction = _ROW - 1 - point.argmax(axis=1)
+    rows -= ord("0")
+    digit = within & (rows < 10)
+    negative = np.frombuffer(data, np.uint8)[starts] == ord("-")
+    plausible = (point.sum(axis=1) == 1) & (digit.sum(axis=1) == length - 1 - negative)
+    rows *= digit
+    words = _eight_digits(rows.view("<i8"))
+    plausible &= words[:, 0] < 100  # so that digits < 10**18 is exact
+    digits = (words[:, 0] * 10**8 + words[:, 1]) * 10**8 + words[:, 2]
+    below = digits % _POW10_INT[np.minimum(fraction + 1, 18)]
+    x = (below + (digits - below) // 10).astype(np.float64) / _POW10[np.minimum(fraction, 22)]
+    x[negative] *= -1.0
+    # Two roundings leave x at most a step or so from the double nearest
+    # the token, which is the one whose text it is if any is.
+    wrong = np.flatnonzero(~(plausible & _agrees(x, fraction, digits, length)))
+    steps = np.nextafter(x[wrong], [[np.inf], [-np.inf]])
+    good = plausible[wrong] & _agrees(steps, fraction[wrong], digits[wrong], length[wrong])
+    for step, agrees in zip(steps, good):
+        x[wrong[agrees]] = step[agrees]
+    wrong = wrong[~good.any(axis=0)]
+    # Zeros, entries outside the window, e-notation and the rare candidate
+    # further off are checked one at a time.
+    for i in wrong.tolist():
+        try:
+            token = data[starts[i] : ends[i]].decode("ascii")
+            value = float(token)
+            if _format_float(value) != token:
+                return None
+        except ValueError:
+            return None
+        x[i] = value
+    return x
+
+
+def _read_array(data: bytes, newlines: np.ndarray, start: int, shape: tuple[int, ...], pad: str):
+    """The float64 array of this shape whose canonical text, with its
+    container lines indented by pad, starts at data[start], and the offset
+    where that text ends; None if the bytes there are not that text.
+    newlines holds the offsets of every newline in data, and start >= _ROW."""
+    ndim = len(shape)
+    between, closing = _separators(ndim, pad)
+    # Every entry has a line of its own and every container two more, so an
+    # entry's line number is a sum over its index.  Line 0 holds the "[".
+    line = np.zeros(shape, np.intp)
+    lines = 1
+    for depth in range(ndim - 1, -1, -1):
+        line += (np.arange(shape[depth]) * lines + 1).reshape((-1,) + (1,) * (ndim - 1 - depth))
+        lines = shape[depth] * lines + 2
+    line += np.searchsorted(newlines, start)
+    if line.flat[-1] >= len(newlines):
+        return None
+    ends = newlines[line]
+    ends[..., :-1] -= 1  # the comma
+    starts = newlines[line - 1] + len(between[ndim]) - 1
+    if (ends <= starts).any():
+        return None
+    # The texts between entries, one kind of text at a time.
+    buf = np.frombuffer(data, np.uint8)
+    for depth in range(1, ndim + 1):
+        before = (slice(None),) * (depth - 1) + (slice(None, -1),) + (-1,) * (ndim - depth)
+        after = (slice(None),) * (depth - 1) + (slice(1, None),) + (0,) * (ndim - depth)
+        text = np.frombuffer(between[depth].encode(), np.uint8)
+        gaps = ends[before].ravel()
+        if (starts[after].ravel() - gaps != len(text)).any():
+            return None
+        if (sliding_window_view(buf, len(text))[gaps] != text).any():
+            return None
+    starts, ends = starts.ravel(), ends.ravel()
+    end = int(ends[-1]) + len(closing)
+    if data[start : starts[0]] != between[0].encode() or data[ends[-1] : end] != closing.encode():
+        return None
+    values = np.empty(len(starts))
+    rows = sliding_window_view(buf, _ROW)
+    for block in range(0, len(values), KERNEL_BLOCK):
+        part = slice(block, block + KERNEL_BLOCK)
+        tokens = _read_tokens(data, rows[ends[part] - _ROW], starts[part], ends[part])
+        if tokens is None:
+            return None
+        values[part] = tokens
+    return values.reshape(shape), end
+
+
+def _canonical_instance(data: bytes) -> DmdpInstance | None:
+    """The instance whose canonical text is data, or None if data is not
+    one.  Files whose arrays hold fewer than KERNEL_MIN_SIZE entries in
+    all get None too: parse_instance reads them faster."""
+    # An entry's line takes at least 12 bytes: indentation, "0.0" and "\n".
+    if len(data) < 12 * KERNEL_MIN_SIZE:
+        return None
+    split = data.find(_TRANSITION)
+    if split < _ROW or not data.endswith(_END):
+        return None
+    try:
+        head = json.loads(data[:split] + b"\n}")
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(head, dict):
+        return None
+    sizes = [head.get(key) for key in ("num_states", "num_actions", "horizon")]
+    if not all(type(size) is int and size >= 1 for size in sizes):
+        return None
+    S, A, T = sizes
+    if not KERNEL_MIN_SIZE <= S * A * (S + T) <= len(data) // 12:
+        return None
+    newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    doc, end = dict(head), split
+    for prefix, key, shape in ((_TRANSITION, "transition", (S, A, S)),
+                               (_REWARD, "reward", (T, S, A))):
+        array = data.startswith(prefix, end) and _read_array(
+            data, newlines, end + len(prefix), shape, "  "
+        )
+        if not array:
+            return None
+        doc[key], end = array
+    if end + len(_END) != len(data):
+        return None
+    try:
+        instance = _document_instance(doc, lambda key, shape: doc[key])
+    except InstanceFormatError:
+        return None
+    header = instance_document(instance)
+    del header["transition"], header["reward"]
+    if dumps_json(header).encode() != data[:split] + b"\n}":
+        return None
+    return instance
+
+
+def read(path, check: bool = True) -> tuple[DmdpInstance, str | None]:
+    """The instance in the file at path and its digest, the sha256 of the
+    file itself when it is canonical.  The digest is None only when check
+    is False and the file holds a NaN or an infinity, which no canonical
+    text spells."""
+    with open(path, "rb") as f:
+        data = f.read()
+    instance = _canonical_instance(data)
+    if instance is not None:
+        return _validated(instance, check), hashlib.sha256(data).hexdigest()
+    # The text open(path, encoding="utf-8") reads, with its universal
+    # newlines, and its errors.
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    instance = parse_instance(text, check)
+    try:
+        return instance, digest(instance)
+    except ValueError:  # a NaN or an infinity, which validation rejects
+        return instance, None
+
+
 def load(path, check: bool = True) -> DmdpInstance:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_instance(f.read(), check=check)
+    return read(path, check)[0]
 
 
 def save(instance: DmdpInstance, path) -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmdp import DmdpInstance, generate
+from dmdp import DmdpError, DmdpInstance, digest, generate, load, read
 
 
 def sparse_instance(seed, num_states=3, num_actions=2, horizon=3, gamma=0.5):
@@ -35,3 +35,22 @@ def sparse_instance(seed, num_states=3, num_actions=2, horizon=3, gamma=0.5):
 def corpus():
     """The seeded random corpus used by the end-to-end checks."""
     return [generate(seed, 3, 2, 3, 0.5) for seed in range(100)]
+
+
+@pytest.fixture(autouse=True)
+def read_digest_is_the_digest(tmp_path):
+    """After each test: read(p)[1] == digest(load(p)) for every instance
+    file the test left in its tmp_path, canonical or not."""
+    yield
+    for path in sorted(tmp_path.rglob("*")):
+        if not path.is_file():
+            continue
+        try:
+            instance = load(path, check=False)
+        except (DmdpError, ValueError):
+            continue
+        try:
+            expected = digest(instance)
+        except ValueError:  # NaN or infinity: no canonical text
+            expected = None
+        assert read(path, check=False)[1] == expected, path

@@ -197,6 +197,24 @@ def test_runtime_errors_exit_1(tmp_path):
     assert proc.stderr.startswith("error: parse error")
 
 
+def test_ragged_arrays_and_non_finite_metadata_exit_1_with_their_location(tmp_path):
+    path = tmp_path / "bad.json"
+    doc = json.loads(dumps_instance(generate(7, 2, 2, 2, 0.5)))
+    doc["transition"][1][0].append(0.0)
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: key 'transition' entry [1, 0] has 3 entries, expected 2\n"
+    doc = json.loads(dumps_instance(generate(7, 2, 2, 2, 0.5)))
+    doc["metadata"]["runs"] = [0.5, float("nan")]
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: key 'metadata' entry ['runs', 1] must be a finite number, got nan\n"
+    )
+
+
 def test_trace_file_records_the_search(instance_file, tmp_path):
     trace_path = str(tmp_path / "trace.json")
     proc = run_cli("solve-reach", instance_file, "--start", "0",

@@ -184,6 +184,21 @@ def test_pruning_never_changes_the_answer():
     assert sum(e["event"] == "prune" for e in second.trace) == first.nodes_pruned
 
 
+@pytest.mark.xfail(strict=True, reason="epsilon pruning is unsound (ROADMAP item 1)")
+def test_pruning_keeps_the_best_cover_on_sparse_3x2x4():
+    # The record for goal {0} is the depth-1 node (1,0,0), whose own depth-2
+    # child, the prefix of the optimal policy, is then pruned against it.
+    # Today the search returns -0.33453 with ((1,0,0),(0,0,0)); brute force
+    # finds -0.31433 with ((1,0,0),(1,0,0),(0,0,0)).  Once pruning is sound
+    # this passes, and strict mode makes the run fail until the mark goes.
+    inst = sparse_instance(1, 3, 2, 4, 0.1)
+    target = GoalSet.from_states([1], 3)
+    result = gds_search(inst, GdsConfig(start=0, target=target, mode="cover"))
+    best = brute_force_cover(inst, 0, target, inst.horizon)
+    assert result.found
+    assert abs(result.value - best.value) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # queue discipline
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from dmdp import (
+    DmdpError,
+    DmdpInstance,
     InstanceFormatError,
     InstanceValidationError,
     digest,
@@ -16,6 +18,7 @@ from dmdp import (
     load,
     make_static_gap_instance,
     parse_instance,
+    read,
     save,
     validate,
 )
@@ -451,3 +454,289 @@ def test_float_array_text_is_written_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 3 * length
+
+
+# ---------------------------------------------------------------------------
+# ragged arrays and non-finite metadata are rejected with their location
+
+
+def _small_document():
+    return json.loads(dumps_instance(generate(7, 2, 2, 2, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "key, path, entry, message",
+    [
+        ("transition", [1, 0], [0.25, 0.25, 0.5],
+         "key 'transition' entry [1, 0] has 3 entries, expected 2"),
+        ("transition", [1], [[1.0, 0.0]],
+         "key 'transition' entry [1] has 1 entries, expected 2"),
+        ("transition", [0], [[1.0, 0.0]],
+         "key 'transition' entry [0] has 1 entries, expected 2"),
+        ("reward", [0, 0], [-0.5],
+         "key 'reward' entry [0, 0] has 1 entries, expected 2"),
+        ("reward", [1, 0], -0.5,
+         "key 'reward' entry [1, 0] must be a list of 2 entries, got -0.5"),
+        ("transition", [1, 1, 0], [0.5],
+         "key 'transition' entry [1, 1, 0] must be a number, got [0.5]"),
+        ("reward", [0, 1, 1], {"x": 1},
+         "key 'reward' entry [0, 1, 1] must be a number, got {'x': 1}"),
+    ],
+)
+def test_ragged_arrays_are_rejected_at_the_first_bad_entry(key, path, entry, message):
+    doc = _small_document()
+    container = doc[key]
+    for i in path[:-1]:
+        container = container[i]
+    container[path[-1]] = entry
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(json.dumps(doc))
+    assert str(exc.value) == message
+    # a later bad entry does not hide the first
+    doc[key][-1][-1][-1] = [doc[key][-1][-1][-1]] if path != [1, 1, 0] else "x"
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "literal, shown",
+    [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e999", "inf")],
+)
+def test_non_finite_metadata_is_rejected_with_its_path(literal, shown):
+    doc = _small_document()
+    doc["metadata"] = {"name": "x", "runs": [{"score": 1.5}, {"score": "PLACEHOLDER"}]}
+    text = json.dumps(doc).replace('"PLACEHOLDER"', literal)
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == (
+        f"key 'metadata' entry ['runs', 1, 'score'] must be a finite number, got {shown}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# read: canonical files take the array reader, every other file parse_instance
+
+
+def _read_array_text(values, pad="  "):
+    """storage._read_array on the writer's text of values, 30 bytes in."""
+    data = ("#" * 30 + storage._array_text(values, pad) + "\n").encode()
+    newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    result = storage._read_array(data, newlines, 30, values.shape, pad)
+    assert result is not None and result[1] == len(data) - 1
+    return result[0]
+
+
+def test_reader_reads_the_kernel_sweep_bit_for_bit():
+    values = _kernel_sweep_values()
+    values = values[: len(values) // 77 * 77].reshape(-1, 7, 11)
+    assert values.size > 10**6
+    back = _read_array_text(values)
+    assert back.shape == values.shape
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+@pytest.mark.parametrize("name", list(_awkward_arrays()))
+def test_reader_reads_awkward_arrays_bit_for_bit(name):
+    values = np.ascontiguousarray(_awkward_arrays()[name])
+    if values.ndim == 0 or values.size == 0:
+        return  # written as lists, and no instance array is
+    back = _read_array_text(values, pad="    ")
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DmdpError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _expected(path, check):
+    """What load and digest gave before read: the text parsed whole."""
+    def parsed():
+        with open(path, encoding="utf-8") as f:
+            instance = parse_instance(f.read(), check=check)
+        numbers = [instance.gamma, instance.r_max, instance.transition, instance.reward]
+        finite = all(np.isfinite(v).all() for v in numbers)
+        return instance, digest(instance) if finite else None
+    return _outcome(parsed)
+
+
+def _assert_read_as_parsed(path, monkeypatch):
+    """read(path) gives what parse_instance and digest give: the same
+    arrays to the bit, the same digest, or the same error.  Returns
+    whether read took the canonical path, which it must exactly when the
+    file is the canonical text of an instance above the crossover."""
+    read_canonical = storage._canonical_instance
+    fast = []
+    monkeypatch.setattr(storage, "_canonical_instance",
+                        lambda data: fast.append(read_canonical(data)) or fast[-1])
+    for check in (False, True):
+        fast.clear()
+        expected, got = _expected(path, check), _outcome(lambda: read(path, check=check))
+        if isinstance(expected[0], type):
+            assert got == expected
+            # only validation fails after the canonical path
+            assert fast == [None] or expected[0] is InstanceValidationError
+            continue
+        assert isinstance(got[0], DmdpInstance), got
+        (want, want_digest), (inst, inst_digest) = expected, got
+        assert inst_digest == want_digest
+        for field in ("num_states", "num_actions", "horizon", "sign_mode", "metadata"):
+            assert getattr(inst, field) == getattr(want, field)
+        for field in ("gamma", "r_max", "transition", "reward"):
+            assert np.array_equal(np.float64(getattr(inst, field)).view(np.int64),
+                                  np.float64(getattr(want, field)).view(np.int64))
+        canonical = want_digest is not None and path.read_bytes() == dumps_instance(want).encode()
+        S, A, T = want.num_states, want.num_actions, want.horizon
+        big = S * A * (S + T) >= storage.KERNEL_MIN_SIZE
+        assert (fast != [None]) == (canonical and big)
+    monkeypatch.setattr(storage, "_canonical_instance", read_canonical)
+    return fast != [None]
+
+
+def _reader_instance(metadata=None):
+    """A valid instance above the reader's crossover, with rewards of every
+    token form: zeros, -0.0, e-notation, integral and 17-digit values."""
+    inst = generate(5, 9, 3, 6, 0.75)
+    assert 9 * 3 * (9 + 6) >= storage.KERNEL_MIN_SIZE
+    reward = inst.reward.copy()
+    forms = [0.0, -0.0, -1e-7, -2.5e-5, -1.0, -0.5, -1.0 / 3.0, -0.1, -1e-4, -5e-324]
+    reward.flat[: len(forms)] = forms
+    return dataclasses.replace(
+        inst, reward=reward, metadata=inst.metadata if metadata is None else metadata
+    )
+
+
+def test_read_takes_the_canonical_path_for_saved_files(tmp_path, monkeypatch):
+    for inst in (_reader_instance(), generate(1, 12, 2, 40, 0.9),
+                 _reader_instance({"naïve ∑": [1, {"x": None}], "q": "\"\n"})):
+        path = tmp_path / "inst.json"
+        assert save(inst, path) == digest(inst)
+        assert _assert_read_as_parsed(path, monkeypatch)
+        back, back_digest = read(path)
+        assert back_digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert np.array_equal(back.reward.view(np.int64), inst.reward.view(np.int64))
+
+
+def test_read_of_a_file_that_fails_validation_raises_as_load_did(tmp_path, monkeypatch):
+    inst = _reader_instance()
+    reward = inst.reward.copy()
+    reward[0, 0, 0] = 2.0  # above r_max
+    path = tmp_path / "bad.json"
+    save(dataclasses.replace(inst, reward=reward), path)
+    assert _assert_read_as_parsed(path, monkeypatch)
+    with pytest.raises(InstanceValidationError, match="reward_bound"):
+        read(path)
+    assert read(path, check=False)[0].reward[0, 0, 0] == 2.0
+
+
+def test_small_files_keep_the_parser(tmp_path, monkeypatch):
+    path = tmp_path / "small.json"
+    save(generate(3, 3, 2, 3, 0.5), path)
+    assert not _assert_read_as_parsed(path, monkeypatch)
+    # the same file is canonical, and read below the crossover by the kernel
+    monkeypatch.setattr(storage, "KERNEL_MIN_SIZE", 0)
+    assert _assert_read_as_parsed(path, monkeypatch)
+
+
+def _token_edits():
+    """(name, edit of the canonical text) pairs: other spellings of a
+    token, layout changes and broken files."""
+    def token(spelling, key="transition", which=0):
+        def edit(text):
+            lines = text.split("\n")
+            first = lines.index(f'  "{key}": [') + 3 + which
+            stripped = lines[first].strip()
+            lines[first] = lines[first].replace(stripped.rstrip(","), spelling)
+            return "\n".join(lines)
+        return edit
+
+    def last_digit(text):
+        # A token of the same length whose last digit moved by one, which
+        # json.loads may round to the same double.
+        lines = text.split("\n")
+        first = lines.index('  "transition": [') + 3
+        tok = lines[first].strip().rstrip(",")
+        lines[first] = lines[first].replace(tok, tok[:-1] + str((int(tok[-1]) + 1) % 10))
+        return "\n".join(lines)
+
+    def swap(a, b):
+        def edit(text):
+            lines = text.split("\n")
+            i = next(k for k, line in enumerate(lines) if line.startswith(f'  "{a}"'))
+            j = next(k for k, line in enumerate(lines) if line.startswith(f'  "{b}"'))
+            lines[i], lines[j] = lines[j], lines[i]
+            return "\n".join(lines)
+        return edit
+
+    def ragged(text):
+        lines = text.split("\n")
+        first = lines.index('  "transition": [') + 3
+        del lines[first]
+        return "\n".join(lines)
+
+    edits = [(spelling, token(spelling)) for spelling in (
+        "0.1", "1e-05", "1E5", "0.50", "0", "-0.0", "01.5", "+1.0", ".5", "1.",
+        "0.12345678901234567890123", "NaN", "Infinity", "1e999", "00.5", "0.5e0",
+        "-0", "1_0.5", " 0.5",
+    )]
+    edits += [(f"reward {spelling}", token(spelling, "reward", 2)) for spelling in (
+        "-0.0", "0.0", "-0", "-1e-07", "-9.9999999999999995e-08", "-1.0e-7", "-1",
+    )]
+    edits += [
+        ("last digit", last_digit),
+        ("CRLF", lambda t: t.replace("\n", "\r\n")),
+        ("CR", lambda t: t.replace("\n", "\r")),
+        ("tab", lambda t: t.replace("\n        ", "\n\t", 1)),
+        ("tabs", lambda t: t.replace("        ", "\t")),
+        ("trailing spaces", lambda t: t.replace("\n", " \n")),
+        ("trailing space on a bracket line",
+         lambda t: t.replace("\n      ],\n", "\n      ], \n", 1)),
+        ("bracket line indented", lambda t: t.replace("\n    [\n", "\n     [\n", 1)),
+        ("comma on the next line",
+         lambda t: t.replace("\n      ],\n      [", "\n      ]\n,      [", 1)),
+        ("bracket swapped", lambda t: t.replace("\n      ],\n      [", "\n      [,\n      [", 1)),
+        ("no final newline", lambda t: t[:-1]),
+        ("two final newlines", lambda t: t + "\n"),
+        ("reordered keys", swap("gamma", "r_max")),
+        ("metadata last", lambda t: t.replace('  "metadata"', '  "metadatb"')),
+        ("compact", lambda t: json.dumps(json.loads(t))),
+        ("ragged", ragged),
+        ("truncated", lambda t: t[: len(t) // 2]),
+        ("one line missing at the end", lambda t: t[: t.rindex("\n  ]")] + "\n}\n"),
+        ("empty", lambda t: ""),
+    ]
+    return edits
+
+
+@pytest.mark.parametrize("name, edit", _token_edits(), ids=[n for n, _ in _token_edits()])
+def test_read_of_other_spellings_and_broken_files_is_that_of_the_parser(
+    name, edit, tmp_path, monkeypatch
+):
+    inst = _reader_instance({"name": "naïve", "seed": 5})
+    text = dumps_instance(inst)
+    path = tmp_path / "edited.json"
+    path.write_bytes(edit(text).encode())
+    canonical = _assert_read_as_parsed(path, monkeypatch)
+    # A canonical token in place of another is still canonical.
+    spelled_canonically = ("-0.0", "reward -0.0", "reward 0.0", "reward -9.9999999999999995e-08")
+    assert canonical == (name in spelled_canonically)
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("raw UTF-8 metadata", lambda b: b.replace(b"na\\u00efve", "naïve".encode())),
+        ("invalid UTF-8", lambda b: b.replace(b"na\\u00efve", b"na\xffve")),
+        ("UTF-8 byte order mark", lambda b: b"\xef\xbb\xbf" + b),
+        ("UTF-16", lambda b: b.decode().encode("utf-16")),
+        ("NUL", lambda b: b.replace(b"0.", b"\x00.", 1)),
+    ],
+)
+def test_read_of_other_encodings_is_that_of_the_parser(name, edit, tmp_path, monkeypatch):
+    path = tmp_path / "encoded.json"
+    save(_reader_instance({"name": "naïve", "seed": 5}), path)
+    path.write_bytes(edit(path.read_bytes()))
+    assert not _assert_read_as_parsed(path, monkeypatch)
