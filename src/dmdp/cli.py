@@ -90,6 +90,19 @@ def _node_budget(args) -> int:
         args.usage_error(f"GDS_NODE_BUDGET: {e}")
 
 
+def _answer(best) -> dict:
+    """The answer fields of a solve or brute-check report, from a search or
+    oracle result, or from None when no policy qualifies."""
+    if best is None:
+        return {"found": False, "policy": None, "value": None, "goal": None}
+    return {
+        "found": True,
+        "policy": best.policy.encoding(),
+        "value": best.value,
+        "goal": list(best.goal.members()),
+    }
+
+
 # Each _cmd_* returns (instance digest, config, result, exit code); main
 # times the run and prints the report.
 
@@ -152,10 +165,7 @@ def _cmd_solve(args):
         with open(args.trace, "w", encoding="utf-8", newline="\n") as f:
             f.write(dumps_json(list(result.trace)) + "\n")
     payload = {
-        "found": result.found,
-        "policy": result.policy.encoding() if result.found else None,
-        "value": result.value,
-        "goal": list(result.goal.members()) if result.found else None,
+        **_answer(result if result.found else None),
         "nodes_popped": result.nodes_popped,
         "nodes_pruned": result.nodes_pruned,
     }
@@ -177,15 +187,6 @@ def _cmd_brute_check(args):
     max_len = args.max_len if args.max_len is not None else instance.horizon
     solver = brute_force_reach if args.mode == "reach" else brute_force_cover
     best = solver(instance, args.start, target, max_len, budget=args.budget)
-    if best is None:
-        payload = {"found": False, "policy": None, "value": None, "goal": None}
-    else:
-        payload = {
-            "found": True,
-            "policy": best.policy.encoding(),
-            "value": best.value,
-            "goal": list(best.goal.members()),
-        }
     config = {
         "file": args.file,
         "start": args.start,
@@ -194,7 +195,7 @@ def _cmd_brute_check(args):
         "max_len": max_len,
         "budget": args.budget,
     }
-    return instance_digest, config, payload, 0 if best is not None else 2
+    return instance_digest, config, _answer(best), 0 if best is not None else 2
 
 
 def _cmd_gen(args):

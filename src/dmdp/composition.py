@@ -82,10 +82,10 @@ class GoalSet:
             raise ValueError("goal sets over different state spaces")
 
 
-def includes(inner: int, outer: int, strict: bool = False) -> bool:
+def includes(inner, outer, strict: bool = False):
     """Whether state bitmask inner is a subset of outer, a proper one when
-    strict."""
-    return not inner & ~outer and not (strict and inner == outer)
+    strict.  On ints, or elementwise on uint64 masks."""
+    return ((inner & ~outer) == 0) & ((inner != outer) | (not strict))
 
 
 def _state_bits(num_states: int) -> np.ndarray:

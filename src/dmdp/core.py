@@ -18,7 +18,7 @@ import numpy as np
 # decimal text, so row sums can be off by a few ulp.
 STOCHASTIC_TOL = 1e-9
 
-# Default ceiling on |A|^|S| when materializing all decision rules.
+# Default ceiling on the decision rules enumerated at once.
 RULE_ENUMERATION_CAP = 4096
 
 SignMode = Literal["any", "nonpositive"]
@@ -29,7 +29,8 @@ class DmdpError(Exception):
 
 
 class EnumerationCapExceeded(DmdpError):
-    """Materializing all decision rules would exceed the configured cap."""
+    """Enumerating decision rules, all |A|^|S| of them or one search node's
+    |A|^|nonzero states|, would exceed the configured cap."""
 
     def __init__(self, required: int, cap: int):
         self.required = required
@@ -263,26 +264,14 @@ def rule_actions(instance: DmdpInstance, rules) -> np.ndarray:
     return np.asarray(rules, dtype=np.int64)[:, None] // A ** np.arange(S - 1, -1, -1) % A
 
 
-def rule_index(instance: DmdpInstance, actions) -> np.ndarray:
-    """Indices of the rules with the given action vectors (..., S)."""
-    S, A = instance.num_states, instance.num_actions
-    return np.asarray(actions) @ A ** np.arange(S - 1, -1, -1)
-
-
-def rule_table(instance: DmdpInstance, cap: int = RULE_ENUMERATION_CAP) -> np.ndarray:
-    """Action vectors (|A|^|S|, S) of every rule, row r holding rule r.
-    Raises EnumerationCapExceeded if the count would exceed cap."""
-    required = instance.num_actions**instance.num_states
-    if required > cap:
-        raise EnumerationCapExceeded(required=required, cap=cap)
-    return rule_actions(instance, np.arange(required))
-
-
 def enumerate_decision_rules(
     instance: DmdpInstance, cap: int = RULE_ENUMERATION_CAP
 ) -> Iterator[DecisionRule]:
     """Yield all |A|^|S| decision rules in lexicographic order of their
     state-indexed action vectors.  Raises EnumerationCapExceeded first if
     the count would exceed cap."""
-    for actions in rule_table(instance, cap).tolist():
+    required = instance.num_actions**instance.num_states
+    if required > cap:
+        raise EnumerationCapExceeded(required=required, cap=cap)
+    for actions in rule_actions(instance, np.arange(required)).tolist():
         yield DecisionRule(tuple(actions))

@@ -24,11 +24,12 @@ without searching.
 Rules that differ only on states where a node's distribution has exactly
 zero mass give bit-identical children, so each such class of rules is
 expanded once, through its canonical member: the rule taking action 0 on
-every zero-mass state.  It has the smallest index in its class, and each
-skipped twin would pop after it (same value and depth, larger rule
-index), so the returned policy, value and tie-breaks are those of
-expanding every rule.  A node has A^|nonzero states| children rather than
-A^S, and the root has A.  Exact zero decides, not SUPPORT_THRESHOLD: mass
+every zero-mass state.  It is first of its class in rule order, and each
+skipped twin would pop after it (same value and depth, later path), so
+the returned policy, value and tie-breaks are those of expanding every
+rule.  A node's A^|nonzero states| children come from its nonzero states
+alone, never from all A^S rules; past RULE_ENUMERATION_CAP they raise
+EnumerationCapExceeded.  Exact zero decides, not SUPPORT_THRESHOLD: mass
 below the threshold still moves values.  nodes_popped and nodes_pruned
 count canonical nodes only.
 """
@@ -36,6 +37,7 @@ count canonical nodes only.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -44,12 +46,12 @@ import numpy as np
 from .bellman import _rule_kernel, _rule_rewards, evaluate_extensions
 from .composition import GoalSet, includes, support_masks, support_of, target_unreachable
 from .core import (
+    RULE_ENUMERATION_CAP,
     DmdpError,
     DmdpInstance,
+    EnumerationCapExceeded,
     InstanceValidationError,
     TimeVaryingPolicy,
-    rule_index,
-    rule_table,
     validate,
 )
 
@@ -85,6 +87,19 @@ def _nonzero(dist: np.ndarray) -> np.ndarray:
     return dist != 0.0
 
 
+def _twins(instance: DmdpInstance, rows: list, zero: np.ndarray):
+    """Whether `rows` are every rule playing action 0 on the `zero` states,
+    once each and in rule order; and the kernels and reward rows of their
+    twins that play b on those states, one batch per action b != 0."""
+    acts = np.array(rows)
+    complete = (len(rows) == instance.num_actions ** int((~zero).sum())
+                and not acts[:, zero].any() and rows == sorted(set(rows)))
+    twin_acts = np.repeat(acts[None], instance.num_actions - 1 if zero.any() else 0, axis=0)
+    twin_acts[:, :, zero] = np.arange(1, len(twin_acts) + 1)[:, None, None]
+    twin_acts = twin_acts.reshape(-1, instance.num_states)
+    return complete, _rule_kernel(instance, twin_acts), _rule_rewards(instance, twin_acts)
+
+
 def epsilon(instance: DmdpInstance, t: int) -> float:
     """Pruning slack at depth t.
 
@@ -109,9 +124,10 @@ class GdsConfig:
     (bellman.evaluate_extensions) values them all, bit-equal to
     evaluate_policy on each.  Verify mode also searches targets proved
     unreachable at the root, and checks that the drain finds nothing.  It
-    also checks at every expansion that exactly one rule per class is
-    expanded, and that every skipped rule's child is bit-equal to its
-    class's.
+    also re-derives each expansion's classes from exact zeros (dist != 0.0),
+    and checks that each expanded rule's twins, which play one action b != 0
+    on every zero-mass state, give children with bit-equal values and
+    distributions.
     """
 
     start: int
@@ -160,19 +176,15 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     if config.target.num_states != instance.num_states:
         raise ValueError("target goal set is over a different state space")
 
-    S = instance.num_states
+    S, A = instance.num_states, instance.num_actions
     strict = config.strict_subset
-    actions = rule_table(instance)
-    kernels = _rule_kernel(instance, actions)
-    # Row [t, r] is rule r's reward vector at epoch t.  Keep the helper's
-    # fancy index: its rows are strided, and BLAS sums a strided dot in
-    # another order than a contiguous one, so a contiguous copy changes the
-    # last bit of some values (the pinned-hash test in test_gds.py shows it).
-    rewards = _rule_rewards(instance, actions)
-    # Canonical rule indices per set of nonzero states, filled on first
-    # use: the rules that move off action 0 only on those states.
-    moved = actions != 0
-    canonical: dict[bytes, np.ndarray] = {}
+    # Per set of nonzero states, filled on first use: the canonical rules,
+    # their kernels and their reward rows [epoch, rule], whose strided rows
+    # BLAS sums in another order than contiguous ones, so a copy would move
+    # last bits (the pinned-hash test in test_gds.py shows it); in verify
+    # mode, also the _twins tables.
+    expansions: dict[bytes, tuple] = {}
+    twins: dict[bytes, tuple] = {}
 
     def tighter(a: int, b: int) -> bool:
         # Goal set a is at least as tight a constraint as b: inside b for
@@ -180,9 +192,6 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         # (a node against the target), pruning (a record against a node)
         # and record updates (a child against a record).
         return includes(a, b, strict) if config.mode == "reach" else includes(b, a, strict)
-
-    def policy_of(path: tuple[int, ...]) -> TimeVaryingPolicy:
-        return TimeVaryingPolicy.from_actions(actions[list(path)])
 
     def members(mask: int) -> tuple[int, ...]:
         return GoalSet(mask, S).members()
@@ -195,8 +204,8 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     unreachable = target_unreachable(instance, config.start, config.target, config.mode, strict)
     skip = unreachable and not config.verify
     # Max-value queue with deterministic ties: shallower first, then
-    # lexicographic on the path of rule indices, which is the order of the
-    # policies' action vectors.  Paths are distinct, so the order is total.
+    # lexicographic on the path (the policy's encoding), which is rule
+    # order.  Paths are distinct, so the order is total.
     heap = [] if skip else [(-0.0, 0, (), support_of(root_dist).mask, root_dist)]
     # Best known value per goal-set mask from this start, and the set of
     # masks whose records are final because a node carrying them was popped.
@@ -215,7 +224,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
             raise NodeBudgetExceeded(config.node_budget)
         if events is not None:
             events.append({"event": "pop", "depth": depth, "value": value,
-                           "goal": members(mask), "policy": policy_of(path).encoding()})
+                           "goal": members(mask), "policy": path})
         if config.verify and value > last_value + 1e-12:
             raise QueueInvariantViolation(f"pop values increased: {value!r} after {last_value!r}")
         last_value = value
@@ -229,8 +238,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
 
         if depth == instance.horizon:
             if events is not None:
-                events.append({"event": "cutoff", "depth": depth,
-                               "policy": policy_of(path).encoding()})
+                events.append({"event": "cutoff", "depth": depth, "policy": path})
             continue
 
         eps_t = epsilon(instance, depth)
@@ -254,51 +262,55 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
             continue
 
         # Expand one rule per class at once: the children's distributions,
-        # values and goal sets, in rule order.  Index the results of every
-        # rule, not kernels or rewards, so each child keeps the bits of the
-        # full product.
+        # values and goal sets, in rule order.
         on = _nonzero(dist)
         key = on.tobytes()
-        idx = canonical.get(key)
-        if idx is None:
-            idx = canonical[key] = np.flatnonzero(~moved[:, ~on].any(axis=1))
-        every_dist = dist @ kernels
-        every_value = value + instance.gamma**depth * np.vecdot(rewards[depth], dist)
+        if key not in expansions:
+            required = A ** int(on.sum())
+            if required > RULE_ENUMERATION_CAP:
+                raise EnumerationCapExceeded(required=required, cap=RULE_ENUMERATION_CAP)
+            rows = list(itertools.product(*[range(A) if o else (0,) for o in on.tolist()]))
+            expansions[key] = rows, _rule_kernel(instance, rows), _rule_rewards(instance, rows)
+        rows, kernels, rewards = expansions[key]
+        child_dists = dist @ kernels
+        child_values = value + instance.gamma**depth * np.vecdot(rewards[depth], dist)
         if config.verify:
-            # Re-derive the classes: each rule's representative sets its
-            # actions on zero-mass states to 0.
-            reps = rule_index(instance, actions * (dist != 0.0))
-            if not (np.array_equal(np.unique(reps), idx)
-                    and every_dist.tobytes() == every_dist[reps].tobytes()
-                    and every_value.tobytes() == every_value[reps].tobytes()):
+            # Re-derive the classes from exact zeros, not from _nonzero.  Once
+            # they match `on`, the first node's tables for this key hold.
+            zero = dist == 0.0
+            if key not in twins:
+                twins[key] = _twins(instance, rows, zero)
+            complete, twin_kernels, twin_rewards = twins[key]
+            twin_values = value + instance.gamma**depth * np.vecdot(twin_rewards[depth], dist)
+            copies = len(twin_kernels) // len(rows)
+            if not (complete and np.array_equal(zero, ~on)
+                    and (dist @ twin_kernels).tobytes() == child_dists.tobytes() * copies
+                    and twin_values.tobytes() == child_values.tobytes() * copies):
                 raise QueueInvariantViolation(
-                    f"expanded rules {idx.tolist()} are not one per class of rules "
+                    f"expanded rules {rows} are not one per class of rules "
                     f"with bit-equal children at depth {depth}"
                 )
-        child_dists = every_dist[idx]
-        child_values = every_value[idx].tolist()
+        child_values = child_values.tolist()
         child_masks = support_masks(child_dists).tolist()
         # Verify mode's exact values come from one backward pass over the
         # instance alone: none of the arrays above may feed it.  Without
         # verify, the queued values fill the slot and go unchecked.
         exact_values = (
-            evaluate_extensions(
-                instance, actions[list(path)], actions[idx], np.zeros((1, S))
-            )[:, config.start].tolist()
+            evaluate_extensions(instance, path, rows, np.zeros((1, S)))[:, config.start].tolist()
             if config.verify else child_values
         )
-        for ri, child_value, child_mask, child_dist, exact in zip(
-            idx.tolist(), child_values, child_masks, child_dists, exact_values
+        for rule, child_value, child_mask, child_dist, exact in zip(
+            rows, child_values, child_masks, child_dists, exact_values
         ):
-            child_path = path + (ri,)
+            child_path = path + (rule,)
             heapq.heappush(heap, (-child_value, depth + 1, child_path, child_mask, child_dist))
             if events is not None:
                 events.append({"event": "push", "depth": depth + 1, "value": child_value,
-                               "goal": members(child_mask), "rule": tuple(actions[ri].tolist())})
+                               "goal": members(child_mask), "rule": rule})
             if config.verify and abs(child_value - exact) > QUEUE_VALUE_TOL:
                 raise QueueInvariantViolation(
                     f"queued value {child_value!r} != exact value {exact!r} "
-                    f"for policy {policy_of(child_path).encoding()}"
+                    f"for policy {child_path}"
                 )
             # Raise still-open records that the child's goal set dominates.
             for m, recorded in records.items():
@@ -315,7 +327,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     # After a break, value, depth, path and mask describe the winning node.
     if found and unreachable:
         raise QueueInvariantViolation(
-            f"found policy {policy_of(path).encoding()} for a target proved unreachable"
+            f"found policy {path} for a target proved unreachable"
         )
     if events is not None:
         events.append(
@@ -326,7 +338,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         )
     return GdsResult(
         found=found,
-        policy=policy_of(path) if found else None,
+        policy=TimeVaryingPolicy.from_actions(path) if found else None,
         value=value if found else None,
         goal=GoalSet(mask, S) if found else None,
         nodes_popped=nodes_popped,

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bellman import _backup, _rule_kernel, _rule_rewards, evaluate_extensions
-from .composition import GoalSet, support_masks
+from .composition import GoalSet, includes, support_masks
 from .core import (
     DmdpError,
     DmdpInstance,
@@ -178,9 +178,7 @@ def brute_force_reach(
     budget: int = DEFAULT_POLICY_BUDGET,
 ) -> BruteForceResult | None:
     """Best policy whose goal set is contained in the target, or None."""
-    return _brute_force(
-        instance, start, target, max_len, budget, lambda g, t: (g & ~t) == 0
-    )
+    return _brute_force(instance, start, target, max_len, budget, includes)
 
 
 def brute_force_cover(
@@ -191,9 +189,7 @@ def brute_force_cover(
     budget: int = DEFAULT_POLICY_BUDGET,
 ) -> BruteForceResult | None:
     """Best policy whose goal set contains the target, or None."""
-    return _brute_force(
-        instance, start, target, max_len, budget, lambda g, t: (t & ~g) == 0
-    )
+    return _brute_force(instance, start, target, max_len, budget, lambda g, t: includes(t, g))
 
 
 def brute_force_optimal_value(

@@ -13,10 +13,12 @@ from conftest import sparse_instance
 from dmdp import (
     DmdpInstance,
     GoalSet,
+    TimeVaryingPolicy,
     brute_force_reach,
     digest,
     dumps_instance,
     dumps_json,
+    evaluate_policy,
     generate,
     load,
     make_static_gap_instance,
@@ -225,6 +227,31 @@ def test_trace_file_records_the_search(instance_file, tmp_path):
     assert events[-1]["event"] == "terminate"
     kinds = {e["event"] for e in events}
     assert "push" in kinds and "record" in kinds
+
+
+def test_search_nodes_are_capped_one_at_a_time(tmp_path):
+    # The rule table of both instances (3^8 = 6,561 rules) exceeds the
+    # cap.  A dense instance fails at its first wide node; a sparse one
+    # whose expanded nodes stay narrow is answered.
+    wide = tmp_path / "wide.json"
+    save(generate(1, 8, 3, 12, 0.5), wide)
+    proc = run_cli("solve-reach", str(wide), "--start", "0", "--target", "0")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: enumerating decision rules requires 6561 rules, exceeding the cap of 4096\n"
+    )
+    inst = sparse_instance(2, 8, 3, 4, 0.3)
+    narrow = tmp_path / "narrow.json"
+    save(inst, narrow)
+    for mode in ("reach", "cover"):
+        proc = run_cli(f"solve-{mode}", str(narrow), "--start", "2",
+                       "--target", "0,1,2,3", "--verify")
+        assert proc.returncode == 0
+        result = report_of(proc)["result"]
+        policy = TimeVaryingPolicy.from_actions(result["policy"])
+        assert abs(result["value"] - evaluate_policy(inst, policy).values[0, 2]) <= 1e-10
+        goal = set(result["goal"])
+        assert goal <= {0, 1, 2, 3} if mode == "reach" else goal >= {0, 1, 2, 3}
 
 
 def test_node_budget_env_var(instance_file):

@@ -13,7 +13,7 @@ from dmdp import (
     make_static_gap_instance,
     validate,
 )
-from dmdp.core import rule_actions, rule_index, rule_table
+from dmdp.core import rule_actions
 
 
 def uniform_instance(num_states=2, num_actions=2, horizon=2, gamma=0.5, reward=None):
@@ -130,18 +130,12 @@ def test_enumerate_rule_order_is_lexicographic():
     assert [r.actions for r in rules] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # identical on repeat enumeration
     assert rules == list(enumerate_decision_rules(uniform_instance(num_states=2)))
-    # Rule r is the r-th action vector in lexicographic order, and the
-    # rule index inverts the decoding.
+    # Rule r is the r-th action vector in lexicographic order.
     for S, A in RULE_SHAPES:
         inst = uniform_instance(num_states=S, num_actions=A)
-        indices = np.arange(A**S)
-        table = rule_actions(inst, indices)
-        assert table.tolist() == [list(a) for a in itertools.product(range(A), repeat=S)]
-        assert np.array_equal(rule_table(inst), table)
-        assert [r.actions for r in enumerate_decision_rules(inst)] == [
-            tuple(row) for row in table.tolist()
-        ]
-        assert np.array_equal(rule_index(inst, table), indices)
+        expected = list(itertools.product(range(A), repeat=S))
+        assert rule_actions(inst, np.arange(A**S)).tolist() == [list(a) for a in expected]
+        assert [r.actions for r in enumerate_decision_rules(inst)] == expected
 
 
 def test_enumerate_rule_cap():
@@ -154,11 +148,9 @@ def test_enumerate_rule_cap():
         for cap in (A**S - 1, 4096):
             if A**S <= cap:
                 continue
-            with pytest.raises(EnumerationCapExceeded) as table_exc:
-                rule_table(inst, cap)
             with pytest.raises(EnumerationCapExceeded) as exc:
-                list(enumerate_decision_rules(inst, cap))
-            assert table_exc.value.required == exc.value.required == A**S
+                next(enumerate_decision_rules(inst, cap))
+            assert exc.value.required == A**S and exc.value.cap == cap
 
 
 def test_rule_and_policy_checks():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import sparse_instance
 from dmdp import (
     DmdpInstance,
+    EnumerationCapExceeded,
     GdsConfig,
     GoalSet,
     InstanceValidationError,
@@ -25,6 +27,7 @@ from dmdp import (
 )
 from dmdp import gds
 from dmdp.composition import SUPPORT_THRESHOLD, target_unreachable
+from dmdp.core import RULE_ENUMERATION_CAP
 
 
 def self_loop_instance():
@@ -518,6 +521,42 @@ def test_node_budget_exhaustion_raises():
     with pytest.raises(NodeBudgetExceeded) as exc:
         gds_search(inst, config)
     assert exc.value.budget == 1
+
+
+def test_narrow_nodes_are_searchable_when_the_rule_table_is_not():
+    # 3^8 = 6,561 rules exceed the cap, but these searches only expand
+    # nodes with at most 7 nonzero states, so no node needs that many.
+    inst = sparse_instance(2, 8, 3, 4, 0.3)
+    assert inst.num_actions**inst.num_states > RULE_ENUMERATION_CAP
+    for start, states in ((0, range(8)), (2, range(4)), (7, range(4, 8))):
+        target = GoalSet.from_states(list(states), 8)
+        for mode in ("reach", "cover"):
+            result = gds_search(inst, GdsConfig(
+                start=start, target=target, mode=mode, verify=True
+            ))
+            assert result.found
+            exact = evaluate_policy(inst, result.policy).values[0, start]
+            assert abs(result.value - exact) <= 1e-10
+            inner, outer = (result.goal, target) if mode == "reach" else (target, result.goal)
+            assert inner.issubset(outer)
+
+
+def test_a_wide_node_raises_before_its_children_are_built():
+    # Dense kernels: every node below the root has all 8 states nonzero.
+    inst = generate(1, 8, 3, 12, 0.5)
+    target = GoalSet.from_states([0], 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            gds_search(inst, GdsConfig(start=0, target=target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.required == 6561 and exc.value.cap == RULE_ENUMERATION_CAP
+    assert peak < 1 << 20
+    # Cover is met by a child of the root, before any wide node expands.
+    cover = gds_search(inst, GdsConfig(start=0, target=target, mode="cover"))
+    assert cover.found and cover.nodes_popped == 2
 
 
 def test_search_requires_nonpositive_rewards():
