@@ -49,20 +49,6 @@ class ValueTable:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class QTable:
-    """State-action values q[t][s][a] derived from a successor value table."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.ascontiguousarray(self.q, dtype=np.float64)
-        if q.ndim != 3:
-            raise ValueError(f"q table must be 3-D, got shape {q.shape}")
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-
-
 def sup_distance(a: ValueTable, b: ValueTable) -> float:
     """Sup-norm distance over the whole grid (the contraction metric)."""
     if a.values.shape != b.values.shape:
@@ -181,21 +167,19 @@ def optimal_values(instance: DmdpInstance) -> ValueTable:
     return ValueTable(values)
 
 
-def q_tables(instance: DmdpInstance, values: ValueTable) -> QTable:
-    """Stack the one-step lookahead of every epoch into a QTable."""
+def q_tables(instance: DmdpInstance, values: ValueTable) -> np.ndarray:
+    """The one-step lookahead of every epoch, stacked: q[t, s, a]."""
     if values.num_rows != instance.horizon + 1:
         raise ValueError("q_tables requires a full-horizon value table")
-    q = np.stack(
+    return np.stack(
         [q_values(instance, values.values[t + 1], t) for t in range(instance.horizon)]
     )
-    return QTable(q)
 
 
 def greedy_policy(instance: DmdpInstance, values: ValueTable) -> TimeVaryingPolicy:
     """Full-horizon policy that argmaxes the lookahead against `values`
     at every epoch.  Ties break toward the lowest action index."""
-    q = q_tables(instance, values).q
-    return TimeVaryingPolicy.from_actions(np.argmax(q, axis=2))
+    return TimeVaryingPolicy.from_actions(np.argmax(q_tables(instance, values), axis=2))
 
 
 def pad_policy(instance: DmdpInstance, policy: TimeVaryingPolicy) -> TimeVaryingPolicy:

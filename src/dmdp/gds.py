@@ -116,8 +116,8 @@ def epsilon(instance: DmdpInstance, t: int) -> float:
 class GdsConfig:
     """Search parameters.
 
-    strict_subset switches the three goal-set inclusions (termination,
-    pruning, record updates) from subset-or-equal to proper subset.
+    strict_subset switches the two goal-set inclusions (termination and
+    pruning) from subset-or-equal to proper subset.
     verify re-derives every pushed node's value by exact backward
     induction and checks the pop order.  An expansion's children share
     their path up to the last rule, so one batched backward pass
@@ -189,8 +189,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     def tighter(a: int, b: int) -> bool:
         # Goal set a is at least as tight a constraint as b: inside b for
         # reach, around b for cover.  One predicate serves termination
-        # (a node against the target), pruning (a record against a node)
-        # and record updates (a child against a record).
+        # (a node against the target) and pruning (a record against a node).
         return includes(a, b, strict) if config.mode == "reach" else includes(b, a, strict)
 
     def members(mask: int) -> tuple[int, ...]:
@@ -207,10 +206,9 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     # lexicographic on the path (the policy's encoding), which is rule
     # order.  Paths are distinct, so the order is total.
     heap = [] if skip else [(-0.0, 0, (), support_of(root_dist).mask, root_dist)]
-    # Best known value per goal-set mask from this start, and the set of
-    # masks whose records are final because a node carrying them was popped.
+    # Per goal-set mask, the best child value of the first expanded node
+    # that carries it; fixed from then on.
     records: dict[int, float] = {}
-    popped_goals: set[int] = set()
     nodes_popped = 0
     nodes_pruned = 0
     last_value = np.inf
@@ -228,7 +226,6 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         if config.verify and value > last_value + 1e-12:
             raise QueueInvariantViolation(f"pop values increased: {value!r} after {last_value!r}")
         last_value = value
-        popped_goals.add(mask)
 
         # The empty root never counts as a result: constrained policies
         # have length >= 1 by definition.
@@ -312,13 +309,6 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
                     f"queued value {child_value!r} != exact value {exact!r} "
                     f"for policy {child_path}"
                 )
-            # Raise still-open records that the child's goal set dominates.
-            for m, recorded in records.items():
-                if m not in popped_goals and tighter(child_mask, m) and child_value > recorded:
-                    records[m] = child_value
-                    if events is not None:
-                        events.append({"event": "record-update", "goal": members(m),
-                                       "value": child_value})
         if mask not in records:
             records[mask] = max(child_values)
             if events is not None:

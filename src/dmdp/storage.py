@@ -648,8 +648,6 @@ def _canonical_instance(data: bytes) -> DmdpInstance | None:
         head = json.loads(data[:split] + b"\n}")
     except (ValueError, RecursionError):
         return None
-    if not isinstance(head, dict):
-        return None
     sizes = [head.get(key) for key in ("num_states", "num_actions", "horizon")]
     if not all(type(size) is int and size >= 1 for size in sizes):
         return None

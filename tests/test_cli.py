@@ -61,6 +61,14 @@ def test_demo_static_gap_reports_the_gap():
     assert result["dynamic_policy"] == [[1], [0]]
 
 
+def test_python_m_dmdp_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmdp", "--version"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.1.0\n"
+
+
 def test_gen_is_reproducible_and_validates(tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     p1 = run_cli("gen", "--seed", "3", "--states", "3", "--actions", "2",

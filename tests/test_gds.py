@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -170,6 +171,25 @@ def test_pruning_fires_and_is_justified():
         assert event["epsilon"] == epsilon(inst, event["depth"])
 
 
+def test_verify_mode_catches_an_unjustified_prune(monkeypatch):
+    # An inclusion test that holds for every pair of goal sets apart from
+    # the target lets any record prune any node: the search prunes the
+    # branches that meet the cover target and finds nothing.  Verify mode
+    # re-justifies each prune on the members and must see it.
+    inst = sparse_instance(1, 3, 2, 4, 0.1)
+    target = GoalSet.from_states([0, 1], 3)
+    config = GdsConfig(start=0, target=target, mode="cover")
+    assert gds_search(inst, config).found
+    includes = gds.includes
+    monkeypatch.setattr(gds, "includes", lambda a, b, strict: (
+        includes(a, b, strict) if target.mask in (a, b) else True
+    ))
+    mutated = gds_search(inst, config)
+    assert not mutated.found and mutated.nodes_pruned > 0
+    with pytest.raises(QueueInvariantViolation, match="unjustified prune at depth 2"):
+        gds_search(inst, dataclasses.replace(config, verify=True))
+
+
 def test_pruning_never_changes_the_answer():
     # A feasible reach query on which pruning fires: the pruned search
     # finds the value brute force finds by evaluating every policy, and a
@@ -241,6 +261,18 @@ def test_verify_mode_catches_a_wrong_queued_value(monkeypatch):
     assert gds_search(inst, config).found
     with pytest.raises(QueueInvariantViolation, match="queued value"):
         gds_search(inst, dataclasses.replace(config, verify=True))
+
+
+def test_verify_mode_catches_pops_out_of_value_order(monkeypatch):
+    # A last-in-first-out queue in place of the heap (the seam the
+    # benchmark's tracer also wraps) pops a child before better siblings.
+    monkeypatch.setattr(gds, "heapq", types.SimpleNamespace(
+        heappush=list.append, heappop=list.pop
+    ))
+    inst = sparse_instance(0, 3, 2, 3, 0.5)
+    config = GdsConfig(start=0, target=GoalSet.from_states([0], 3), verify=True)
+    with pytest.raises(QueueInvariantViolation, match="pop values increased"):
+        gds_search(inst, config)
 
 
 def test_found_value_equals_exact_policy_value():

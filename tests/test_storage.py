@@ -139,6 +139,13 @@ def test_parse_errors_name_the_problem(tmp_path):
     with pytest.raises(InstanceFormatError):
         parse_instance(dumps_json(doc))
 
+    for key, value, message in (("sign_mode", "negative", "unknown sign_mode 'negative'"),
+                                ("metadata", [1], "key 'metadata' must be an object")):
+        doc = json.loads(dumps_instance(make_static_gap_instance()))
+        doc[key] = value
+        with pytest.raises(InstanceFormatError, match=message):
+            parse_instance(dumps_json(doc))
+
     # Header scalars keep their JSON type: no int() or float() coercion,
     # and a bool is neither an integer nor a number.
     bad = [
@@ -686,6 +693,7 @@ def _token_edits():
         "-0.0", "0.0", "-0", "-1e-07", "-9.9999999999999995e-08", "-1.0e-7", "-1",
     )]
     edits += [
+        ("integer too large for a double", token("1" + "0" * 400)),
         ("last digit", last_digit),
         ("CRLF", lambda t: t.replace("\n", "\r\n")),
         ("CR", lambda t: t.replace("\n", "\r")),
@@ -702,6 +710,8 @@ def _token_edits():
         ("two final newlines", lambda t: t + "\n"),
         ("reordered keys", swap("gamma", "r_max")),
         ("metadata last", lambda t: t.replace('  "metadata"', '  "metadatb"')),
+        ("no states", lambda t: t.replace('"num_states": 9,', '"num_states": 0,', 1)),
+        ("key after reward", lambda t: t[: -len("\n}\n")] + ',\n  "extra": 1\n}\n'),
         ("compact", lambda t: json.dumps(json.loads(t))),
         ("ragged", ragged),
         ("truncated", lambda t: t[: len(t) // 2]),
