@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DecisionRule, DmdpInstance, DmdpError, TimeVaryingPolicy
+from .core import DmdpInstance, DmdpError, TimeVaryingPolicy
 
 # Sup-norm change below which policy iteration declares a fixed point.
 CONVERGENCE_TOL = 1e-12
@@ -116,7 +116,7 @@ def evaluate_policy(
         )
     values = np.zeros((n + 1, instance.num_states))
     for i in reversed(range(n)):
-        actions = policy.rule_at(i).actions
+        actions = policy.rules[i]
         r_pi = _rule_rewards(instance, actions, start_time + i)
         p_pi = _rule_kernel(instance, actions)
         values[i] = r_pi + instance.gamma * (p_pi @ values[i + 1])
@@ -185,9 +185,8 @@ def greedy_policy(instance: DmdpInstance, values: ValueTable) -> TimeVaryingPoli
 def pad_policy(instance: DmdpInstance, policy: TimeVaryingPolicy) -> TimeVaryingPolicy:
     """Extend a short policy to the full horizon with action-0 rules."""
     policy.check_against(instance)
-    filler = DecisionRule((0,) * instance.num_states)
-    rules = policy.rules + (filler,) * (instance.horizon - len(policy))
-    return TimeVaryingPolicy(rules)
+    filler = (0,) * instance.num_states
+    return TimeVaryingPolicy(policy.rules + (filler,) * (instance.horizon - len(policy)))
 
 
 def bellman_policy_operator(

@@ -70,14 +70,6 @@ def _parse_positive(text: str) -> int:
     return number
 
 
-def _checked(instance):
-    """instance, or InstanceValidationError when it breaks a model invariant."""
-    report = validate(instance)
-    if not report.ok:
-        raise InstanceValidationError(report)
-    return instance
-
-
 def _node_budget(args) -> int:
     if args.node_budget is not None:
         return args.node_budget
@@ -92,12 +84,12 @@ def _node_budget(args) -> int:
 
 def _answer(best) -> dict:
     """The answer fields of a solve or brute-check report, from a search or
-    oracle result, or from None when no policy qualifies."""
+    oracle result, or from None when no policy meets the goal constraint."""
     if best is None:
         return {"found": False, "policy": None, "value": None, "goal": None}
     return {
         "found": True,
-        "policy": best.policy.encoding(),
+        "policy": best.policy.rules,
         "value": best.value,
         "goal": list(best.goal.members()),
     }
@@ -137,13 +129,13 @@ def _cmd_policy_iter(args):
     init = args.init if args.init is not None else EMPTY_POLICY
     result = policy_iteration(instance, init)
     payload = {
-        "policy": result.policy.encoding(),
+        "policy": result.policy.rules,
         "values": result.values.values,
         "iterations": result.iterations,
     }
     config = {
         "file": args.file,
-        "init": init.encoding() if args.init is not None else None,
+        "init": init.rules if args.init is not None else None,
     }
     return instance_digest, config, payload, 0
 
@@ -199,9 +191,8 @@ def _cmd_brute_check(args):
 
 
 def _cmd_gen(args):
-    instance = _checked(
-        generate(args.seed, args.states, args.actions, args.horizon, args.gamma)
-    )
+    instance = generate(args.seed, args.states, args.actions, args.horizon, args.gamma)
+    validate(instance).require()
     instance_digest = save(instance, args.out)
     config = {
         "seed": args.seed,
@@ -215,7 +206,8 @@ def _cmd_gen(args):
 
 
 def _cmd_demo_static_gap(args):
-    instance = _checked(make_static_gap_instance(gamma=args.gamma))
+    instance = make_static_gap_instance(gamma=args.gamma)
+    validate(instance).require()
     statics = {}
     for a in range(instance.num_actions):
         policy = TimeVaryingPolicy.from_actions([[a]] * instance.horizon)
@@ -229,7 +221,7 @@ def _cmd_demo_static_gap(args):
         "static_values": statics,
         "static_best": max(statics.values()),
         "dynamic_best": float(star.values[0, 0]),
-        "dynamic_policy": result.policy.encoding(),
+        "dynamic_policy": result.policy.rules,
     }
     return digest(instance), {"gamma": args.gamma}, payload, 0
 

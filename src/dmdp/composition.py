@@ -4,6 +4,10 @@ The goal set of a policy from a start state is the support of the state
 distribution at the policy's final epoch — the set of states the policy
 can land in.  Support uses a strict positivity threshold so that exact
 zeros produced by sparse kernels stay out.
+
+`satisfies` is the goal constraint that the search, the oracles and
+target_unreachable share: reach wants the goal set inside the target,
+cover around it.  `check_query` checks a query's start state and target.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import evaluate_policy, _rule_kernel
-from .core import DecisionRule, DmdpInstance, TimeVaryingPolicy
+from .core import DmdpInstance, TimeVaryingPolicy
 
 # Probabilities at or below this are treated as "cannot happen".
 SUPPORT_THRESHOLD = 1e-12
@@ -88,6 +92,22 @@ def includes(inner, outer, strict: bool = False):
     return ((inner & ~outer) == 0) & ((inner != outer) | (not strict))
 
 
+def satisfies(goal, target, mode: str, strict: bool = False):
+    """Whether goal set `goal` meets `target` under the search's goal
+    constraint: inside it for reach, around it for cover, properly so when
+    strict.  On int masks, or elementwise on uint64 masks."""
+    return includes(goal, target, strict) if mode == "reach" else includes(target, goal, strict)
+
+
+def check_query(instance: DmdpInstance, start: int, target: GoalSet | None = None) -> None:
+    """Raise ValueError unless start is a state of the instance and target,
+    when given, is a goal set over its states."""
+    if not 0 <= start < instance.num_states:
+        raise ValueError(f"start state {start} out of range")
+    if target is not None and target.num_states != instance.num_states:
+        raise ValueError("target goal set is over a different state space")
+
+
 def _state_bits(num_states: int) -> np.ndarray:
     return np.left_shift(np.uint64(1), np.arange(num_states, dtype=np.uint64))
 
@@ -142,7 +162,7 @@ def target_unreachable(
         reachable = states == start
         for _ in range(horizon):
             reachable = reachable @ successors
-            if includes(target.mask, int(reachable @ bits), strict):
+            if satisfies(int(reachable @ bits), target.mask, "cover", strict):
                 return False
         return True
     if float(instance.transition[structural].min()) ** horizon <= 2 * SUPPORT_THRESHOLD:
@@ -183,13 +203,6 @@ def truncate(policy: TimeVaryingPolicy, length: int) -> TimeVaryingPolicy:
     return TimeVaryingPolicy(policy.rules[:length])
 
 
-def step_distribution(
-    instance: DmdpInstance, dist: np.ndarray, rule: DecisionRule
-) -> np.ndarray:
-    """Push a state distribution through one epoch of the kernel under a rule."""
-    return dist @ _rule_kernel(instance, rule.actions)
-
-
 def propagate(
     instance: DmdpInstance, policy: TimeVaryingPolicy, start: int
 ) -> np.ndarray:
@@ -199,12 +212,11 @@ def propagate(
     at epoch i (row 0 is the point mass itself).
     """
     policy.check_against(instance)
-    if not 0 <= start < instance.num_states:
-        raise ValueError(f"start state {start} out of range")
+    check_query(instance, start)
     dists = np.zeros((len(policy) + 1, instance.num_states))
     dists[0, start] = 1.0
     for i, rule in enumerate(policy.rules):
-        dists[i + 1] = step_distribution(instance, dists[i], rule)
+        dists[i + 1] = dists[i] @ _rule_kernel(instance, rule)
     return dists
 
 

@@ -1,9 +1,9 @@
 """Core model types: finite-horizon MDPs with time-varying rewards.
 
 An instance bundles a time-homogeneous transition kernel with one reward
-table per epoch.  Policies are finite sequences of decision rules (one
-action per state per epoch), so a policy of length n controls epochs
-0..n-1 of the horizon.
+table per epoch.  Policies are finite sequences of decision rules, each a
+tuple of actions with one action per state, so a policy of length n
+controls epochs 0..n-1 of the horizon.
 """
 
 from __future__ import annotations
@@ -100,28 +100,13 @@ class DmdpInstance:
 
 
 @dataclass(frozen=True)
-class DecisionRule:
-    """One action per state: the choice function for a single epoch."""
-
-    actions: tuple[int, ...]
-
-    def check_against(self, instance: DmdpInstance) -> None:
-        if len(self.actions) != instance.num_states:
-            raise ValueError(
-                f"decision rule covers {len(self.actions)} states, "
-                f"instance has {instance.num_states}"
-            )
-        for s, a in enumerate(self.actions):
-            if not 0 <= a < instance.num_actions:
-                raise ValueError(f"action {a} for state {s} out of range")
-
-
-@dataclass(frozen=True)
 class TimeVaryingPolicy:
     """A sequence of decision rules; rule i is played at the i-th epoch
-    after the policy's placement time."""
+    after the policy's placement time.  A decision rule is a tuple of
+    actions, one per state, so `rules` is a pure-int tuple of tuples,
+    usable as a deterministic sort key."""
 
-    rules: tuple[DecisionRule, ...]
+    rules: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -130,27 +115,25 @@ class TimeVaryingPolicy:
     def is_empty(self) -> bool:
         return not self.rules
 
-    def rule_at(self, i: int) -> DecisionRule:
-        return self.rules[i]
-
-    def encoding(self) -> tuple[tuple[int, ...], ...]:
-        """Pure-int encoding, usable as a deterministic sort key."""
-        return tuple(rule.actions for rule in self.rules)
-
     def check_against(self, instance: DmdpInstance) -> None:
         if len(self.rules) > instance.horizon:
             raise ValueError(
                 f"policy length {len(self.rules)} exceeds horizon {instance.horizon}"
             )
         for rule in self.rules:
-            rule.check_against(instance)
+            if len(rule) != instance.num_states:
+                raise ValueError(
+                    f"decision rule covers {len(rule)} states, "
+                    f"instance has {instance.num_states}"
+                )
+            for s, a in enumerate(rule):
+                if not 0 <= a < instance.num_actions:
+                    raise ValueError(f"action {a} for state {s} out of range")
 
     @staticmethod
     def from_actions(actions) -> "TimeVaryingPolicy":
         """Build from an iterable of per-epoch action vectors."""
-        return TimeVaryingPolicy(
-            tuple(DecisionRule(tuple(int(a) for a in row)) for row in actions)
-        )
+        return TimeVaryingPolicy(tuple(tuple(int(a) for a in row) for row in actions))
 
 
 EMPTY_POLICY = TimeVaryingPolicy(())
@@ -158,10 +141,19 @@ EMPTY_POLICY = TimeVaryingPolicy(())
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of validate(): ok plus a list of (rule, location, value)."""
+    """Outcome of validate(): the (rule, location, value) violations; ok
+    when there are none."""
 
-    ok: bool
     violations: tuple[tuple[str, tuple, float], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def require(self, context: str = "") -> None:
+        """Raise InstanceValidationError, headed by context, unless ok."""
+        if self.violations:
+            raise InstanceValidationError(self, context)
 
 
 def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> ValidationReport:
@@ -231,7 +223,7 @@ def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> Valid
         s, a = divmod(rest, A)
         violations.append((rules[rule], (t, s, a), float(R[t, s, a])))
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def make_static_gap_instance(gamma: float = 1.0 - 1e-9) -> DmdpInstance:
@@ -266,7 +258,7 @@ def rule_actions(instance: DmdpInstance, rules) -> np.ndarray:
 
 def enumerate_decision_rules(
     instance: DmdpInstance, cap: int = RULE_ENUMERATION_CAP
-) -> Iterator[DecisionRule]:
+) -> Iterator[tuple[int, ...]]:
     """Yield all |A|^|S| decision rules in lexicographic order of their
     state-indexed action vectors.  Raises EnumerationCapExceeded first if
     the count would exceed cap."""
@@ -274,4 +266,4 @@ def enumerate_decision_rules(
     if required > cap:
         raise EnumerationCapExceeded(required=required, cap=cap)
     for actions in rule_actions(instance, np.arange(required)).tolist():
-        yield DecisionRule(tuple(actions))
+        yield tuple(actions)

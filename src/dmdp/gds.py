@@ -44,13 +44,19 @@ from typing import Literal
 import numpy as np
 
 from .bellman import _rule_kernel, _rule_rewards, evaluate_extensions
-from .composition import GoalSet, includes, support_masks, support_of, target_unreachable
+from .composition import (
+    GoalSet,
+    check_query,
+    satisfies,
+    support_masks,
+    support_of,
+    target_unreachable,
+)
 from .core import (
     RULE_ENUMERATION_CAP,
     DmdpError,
     DmdpInstance,
     EnumerationCapExceeded,
-    InstanceValidationError,
     TimeVaryingPolicy,
     validate,
 )
@@ -116,8 +122,9 @@ def epsilon(instance: DmdpInstance, t: int) -> float:
 class GdsConfig:
     """Search parameters.
 
-    strict_subset switches the two goal-set inclusions (termination and
-    pruning) from subset-or-equal to proper subset.
+    strict_subset switches composition.satisfies, the goal constraint that
+    serves both termination (a node against the target) and pruning (a
+    record against a node), from subset-or-equal to proper subset.
     verify re-derives every pushed node's value by exact backward
     induction and checks the pop order.  An expansion's children share
     their path up to the last rule, so one batched backward pass
@@ -168,16 +175,13 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     composition.target_unreachable proves unreachable before the first
     pop: nothing is popped, and the trace is one terminate event.
     """
-    report = validate(instance, sign_mode="nonpositive")
-    if not report.ok:
-        raise InstanceValidationError(report, "search requires a valid nonpositive-reward instance")
-    if not 0 <= config.start < instance.num_states:
-        raise ValueError(f"start state {config.start} out of range")
-    if config.target.num_states != instance.num_states:
-        raise ValueError("target goal set is over a different state space")
+    validate(instance, sign_mode="nonpositive").require(
+        "search requires a valid nonpositive-reward instance"
+    )
+    check_query(instance, config.start, config.target)
 
     S, A = instance.num_states, instance.num_actions
-    strict = config.strict_subset
+    mode, strict = config.mode, config.strict_subset
     # Per set of nonzero states, filled on first use: the canonical rules,
     # their kernels and their reward rows [epoch, rule], whose strided rows
     # BLAS sums in another order than contiguous ones, so a copy would move
@@ -185,12 +189,6 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     # mode, also the _twins tables.
     expansions: dict[bytes, tuple] = {}
     twins: dict[bytes, tuple] = {}
-
-    def tighter(a: int, b: int) -> bool:
-        # Goal set a is at least as tight a constraint as b: inside b for
-        # reach, around b for cover.  One predicate serves termination
-        # (a node against the target) and pruning (a record against a node).
-        return includes(a, b, strict) if config.mode == "reach" else includes(b, a, strict)
 
     def members(mask: int) -> tuple[int, ...]:
         return GoalSet(mask, S).members()
@@ -200,10 +198,10 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     root_dist[config.start] = 1.0
     # A target proved unreachable at the root leaves nothing to search;
     # verify mode searches anyway and checks the proof against the drain.
-    unreachable = target_unreachable(instance, config.start, config.target, config.mode, strict)
+    unreachable = target_unreachable(instance, config.start, config.target, mode, strict)
     skip = unreachable and not config.verify
     # Max-value queue with deterministic ties: shallower first, then
-    # lexicographic on the path (the policy's encoding), which is rule
+    # lexicographic on the path (the policy's rules), which is rule
     # order.  Paths are distinct, so the order is total.
     heap = [] if skip else [(-0.0, 0, (), support_of(root_dist).mask, root_dist)]
     # Per goal-set mask, the best child value of the first expanded node
@@ -229,7 +227,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
 
         # The empty root never counts as a result: constrained policies
         # have length >= 1 by definition.
-        if depth >= 1 and tighter(mask, config.target.mask):
+        if depth >= 1 and satisfies(mask, config.target.mask, mode, strict):
             found = True
             break
 
@@ -239,7 +237,10 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
             continue
 
         eps_t = epsilon(instance, depth)
-        rival = next((m for m in records if tighter(m, mask) and value <= records[m] - eps_t), None)
+        # A rival record's goal set lies inside this node's for reach,
+        # around it for cover.
+        rival = next((m for m in records
+                      if satisfies(m, mask, mode, strict) and value <= records[m] - eps_t), None)
         if rival is not None:
             nodes_pruned += 1
             recorded = records[rival]
@@ -252,7 +253,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
                 # loop's own bit test.
                 node_set, record_set = set(members(mask)), set(members(rival))
                 inner, outer = (
-                    (record_set, node_set) if config.mode == "reach" else (node_set, record_set)
+                    (record_set, node_set) if mode == "reach" else (node_set, record_set)
                 )
                 if not (inner < outer if strict else inner <= outer) or value > recorded - eps_t:
                     raise QueueInvariantViolation(f"unjustified prune at depth {depth}")
@@ -328,7 +329,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
         )
     return GdsResult(
         found=found,
-        policy=TimeVaryingPolicy.from_actions(path) if found else None,
+        policy=TimeVaryingPolicy(path) if found else None,
         value=value if found else None,
         goal=GoalSet(mask, S) if found else None,
         nodes_popped=nodes_popped,

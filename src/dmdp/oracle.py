@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bellman import _backup, _rule_kernel, _rule_rewards, evaluate_extensions
-from .composition import GoalSet, includes, support_masks
+from .composition import GoalSet, check_query, satisfies, support_masks
 from .core import (
     DmdpError,
     DmdpInstance,
@@ -142,18 +142,15 @@ def _brute_force(
     target: GoalSet,
     max_len: int,
     budget: int,
-    qualifies,
+    mode: str,
 ) -> BruteForceResult | None:
-    if not 0 <= start < instance.num_states:
-        raise ValueError(f"start state {start} out of range")
-    if target.num_states != instance.num_states:
-        raise ValueError("target goal set is over a different state space")
+    check_query(instance, start, target)
     _check_budget(instance, max_len, budget)
     target_mask = np.uint64(target.mask)
     best = None
     for n in range(1, max_len + 1):
         for first, masks, values in _blocks(instance, n, start):
-            ok = np.flatnonzero(qualifies(masks, target_mask))
+            ok = np.flatnonzero(satisfies(masks, target_mask, mode))
             if not ok.size:
                 continue
             i = ok[np.argmax(values[ok, start])]
@@ -178,7 +175,7 @@ def brute_force_reach(
     budget: int = DEFAULT_POLICY_BUDGET,
 ) -> BruteForceResult | None:
     """Best policy whose goal set is contained in the target, or None."""
-    return _brute_force(instance, start, target, max_len, budget, includes)
+    return _brute_force(instance, start, target, max_len, budget, "reach")
 
 
 def brute_force_cover(
@@ -189,7 +186,7 @@ def brute_force_cover(
     budget: int = DEFAULT_POLICY_BUDGET,
 ) -> BruteForceResult | None:
     """Best policy whose goal set contains the target, or None."""
-    return _brute_force(instance, start, target, max_len, budget, lambda g, t: includes(t, g))
+    return _brute_force(instance, start, target, max_len, budget, "cover")
 
 
 def brute_force_optimal_value(
@@ -217,9 +214,8 @@ def realizable_goal_sets(
 ) -> tuple[GoalSet, ...]:
     """Every goal set realized by some policy of length 1..max_len from
     `start`, in first-realized order."""
+    check_query(instance, start)
     _check_budget(instance, max_len, budget)
-    if not 0 <= start < instance.num_states:
-        raise ValueError(f"start state {start} out of range")
     seen: dict[int, None] = {}
     for n in range(1, max_len + 1):
         for _, masks, _ in _blocks(instance, n, start):

@@ -47,7 +47,7 @@ from typing import Any
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DmdpError, DmdpInstance, InstanceValidationError, validate
+from .core import DmdpError, DmdpInstance, validate
 
 FORMAT_VERSION = 1
 
@@ -472,9 +472,7 @@ def _document_instance(doc: Any, array) -> DmdpInstance:
 
 def _validated(instance: DmdpInstance, check: bool) -> DmdpInstance:
     if check:
-        report = validate(instance)
-        if not report.ok:
-            raise InstanceValidationError(report, "instance file failed validation")
+        validate(instance).require("instance file failed validation")
     return instance
 
 

@@ -40,7 +40,7 @@ def rollout_start_values(instance, policy, start, n_samples, seed):
     states = np.full(n_samples, start)
     returns = np.zeros(n_samples)
     for i, rule in enumerate(policy.rules):
-        actions = np.asarray(rule.actions)[states]
+        actions = np.asarray(rule)[states]
         returns += instance.gamma**i * instance.reward[i, states, actions]
         cum = np.cumsum(instance.transition[states, actions, :], axis=1)
         draws = rng.random(n_samples)
@@ -128,7 +128,7 @@ def test_evaluate_extensions_is_bit_equal_to_evaluate_policy():
     instances += [_with_negative_zero_rewards(inst, rng) for inst in instances[:2]]
     checked = nonzero_tail = 0
     for inst in instances:
-        actions = np.array([rule.actions for rule in enumerate_decision_rules(inst)])
+        actions = np.array(list(enumerate_decision_rules(inst)))
         for n in range(inst.horizon):
             for _ in range(3):
                 path = rng.integers(len(actions), size=n)
@@ -254,7 +254,7 @@ def test_optimal_values_match_brute_force():
 def test_greedy_policy_static_gap_alternates():
     inst = make_static_gap_instance()
     greedy = greedy_policy(inst, optimal_values(inst))
-    assert greedy.encoding() == ((1,), (0,))
+    assert greedy.rules == ((1,), (0,))
 
 
 def test_greedy_breaks_ties_toward_low_actions():
@@ -263,7 +263,7 @@ def test_greedy_breaks_ties_toward_low_actions():
         transition=np.full((2, 3, 2), 0.5), reward=np.zeros((2, 2, 3)),
     )
     greedy = greedy_policy(inst, optimal_values(inst))
-    assert greedy.encoding() == ((0, 0), (0, 0))
+    assert greedy.rules == ((0, 0), (0, 0))
     assert greedy == greedy_policy(inst, optimal_values(inst))  # repeatable
 
 
@@ -284,14 +284,14 @@ def test_greedy_heads_for_the_free_action():
     )
     star = optimal_values(inst)
     greedy = greedy_policy(inst, star)
-    assert all(rule.actions == (1, 1, 1) for rule in greedy.rules)
+    assert all(rule == (1, 1, 1) for rule in greedy.rules)
     assert evaluate_policy(inst, greedy).values[0, 0] == star.values[0, 0]
 
 
 def test_policy_operator_static_gap_improves_static_policy():
     inst = make_static_gap_instance()
     static0 = TimeVaryingPolicy.from_actions([[0], [0]])
-    assert bellman_policy_operator(inst, static0).encoding() == ((1,), (0,))
+    assert bellman_policy_operator(inst, static0).rules == ((1,), (0,))
 
 
 def test_policy_operator_pads_short_input():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_gen_is_reproducible_and_validates(tmp_path):
     p2 = run_cli("gen", "--seed", "3", "--states", "3", "--actions", "2",
                  "--horizon", "3", "--gamma", "0.5", "-o", out2)
     assert p1.returncode == p2.returncode == 0
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
     rep = report_of(p1)
     assert rep["result"]["digest"] == digest(load(out1))
     assert run_cli("validate", out1).returncode == 0
@@ -230,7 +231,7 @@ def test_trace_file_records_the_search(instance_file, tmp_path):
     proc = run_cli("solve-reach", instance_file, "--start", "0",
                    "--target", "0,1,2", "--trace", trace_path)
     assert proc.returncode == 0
-    events = json.loads(open(trace_path).read())
+    events = json.loads(Path(trace_path).read_text())
     assert events[0]["event"] == "pop"
     assert events[-1]["event"] == "terminate"
     kinds = {e["event"] for e in events}

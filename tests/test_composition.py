@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from dmdp import (
     propagate,
     truncate,
 )
+from dmdp.composition import satisfies
 
 
 def random_policy(instance, rng, length):
@@ -33,7 +36,7 @@ def endpoint_states_by_paths(instance, policy, start):
         if depth == len(policy):
             ends.add(state)
             return
-        row = instance.transition[state, policy.rule_at(depth).actions[state]]
+        row = instance.transition[state, policy.rules[depth][state]]
         for nxt in range(instance.num_states):
             if row[nxt] > 1e-12:
                 walk(nxt, depth + 1)
@@ -65,6 +68,24 @@ def test_goal_set_bounds():
         GoalSet(0, num_states=65)
     with pytest.raises(ValueError):
         GoalSet.from_states([0], 2).issubset(GoalSet.from_states([0], 3))
+
+
+def test_satisfies_matches_set_semantics():
+    # Every pair of masks over three states, both modes, strict off and on,
+    # against Python sets: reach wants the goal inside the target, cover
+    # around it.  The same pairs as uint64 arrays give the same answers.
+    members = {m: {s for s in range(3) if m >> s & 1} for m in range(8)}
+    pairs = list(itertools.product(range(8), repeat=2))
+    for mode, strict in itertools.product(("reach", "cover"), (False, True)):
+        expected = []
+        for goal, target in pairs:
+            inner, outer = members[goal], members[target]
+            if mode == "cover":
+                inner, outer = outer, inner
+            expected.append(inner < outer if strict else inner <= outer)
+        assert [satisfies(g, t, mode, strict) for g, t in pairs] == expected
+        goals, targets = np.array(pairs, dtype=np.uint64).T
+        assert satisfies(goals, targets, mode, strict).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +172,7 @@ def test_propagate_matches_sampled_frequencies():
     rng = np.random.default_rng(123)
     states = np.zeros(n, dtype=int)
     for i, rule in enumerate(policy.rules):
-        actions = np.asarray(rule.actions)[states]
+        actions = np.asarray(rule)[states]
         cum = np.cumsum(inst.transition[states, actions, :], axis=1)
         states = np.minimum((rng.random(n)[:, None] > cum).sum(axis=1), 2)
         freq = np.bincount(states, minlength=3) / n

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from dmdp import (
-    DecisionRule,
     DmdpInstance,
     EnumerationCapExceeded,
+    InstanceValidationError,
     TimeVaryingPolicy,
+    ValidationReport,
     enumerate_decision_rules,
     make_static_gap_instance,
     validate,
@@ -64,6 +65,17 @@ def test_validate_static_gap_sign_modes():
     locations = {loc for rule, loc, _ in report.violations if rule == "reward_sign"}
     # The two +1 rewards: action 1 at epoch 0, action 0 at epoch 1.
     assert locations == {(0, 0, 1), (1, 0, 0)}
+
+
+def test_validation_report_ok_and_require_follow_its_violations():
+    clean = validate(uniform_instance())
+    assert clean.ok and clean.require("unused") is None
+    broken = ValidationReport((("gamma_range", (), 1.5),))
+    assert not broken.ok
+    with pytest.raises(InstanceValidationError, match=r"^loading: gamma_range at \(\): 1\.5$"):
+        broken.require("loading")
+    with pytest.raises(InstanceValidationError, match="^instance failed validation: gamma_range"):
+        broken.require()
 
 
 def test_validate_defaults_to_declared_sign_mode():
@@ -127,7 +139,7 @@ RULE_SHAPES = [(1, 1), (1, 3), (3, 2), (4, 3), (12, 2)]
 
 def test_enumerate_rule_order_is_lexicographic():
     rules = list(enumerate_decision_rules(uniform_instance(num_states=2)))
-    assert [r.actions for r in rules] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert rules == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # identical on repeat enumeration
     assert rules == list(enumerate_decision_rules(uniform_instance(num_states=2)))
     # Rule r is the r-th action vector in lexicographic order.
@@ -135,7 +147,7 @@ def test_enumerate_rule_order_is_lexicographic():
         inst = uniform_instance(num_states=S, num_actions=A)
         expected = list(itertools.product(range(A), repeat=S))
         assert rule_actions(inst, np.arange(A**S)).tolist() == [list(a) for a in expected]
-        assert [r.actions for r in enumerate_decision_rules(inst)] == expected
+        assert list(enumerate_decision_rules(inst)) == expected
 
 
 def test_enumerate_rule_cap():
@@ -155,17 +167,17 @@ def test_enumerate_rule_cap():
 
 def test_rule_and_policy_checks():
     inst = uniform_instance(num_states=2, horizon=2)
-    with pytest.raises(ValueError):
-        DecisionRule((0,)).check_against(inst)
-    with pytest.raises(ValueError):
-        DecisionRule((0, 5)).check_against(inst)
+    with pytest.raises(ValueError, match="decision rule covers 1 states, instance has 2"):
+        TimeVaryingPolicy(((0,),)).check_against(inst)
+    with pytest.raises(ValueError, match="action 5 for state 1 out of range"):
+        TimeVaryingPolicy(((0, 1), (0, 5))).check_against(inst)
     long_policy = TimeVaryingPolicy.from_actions([[0, 0]] * 3)
     with pytest.raises(ValueError):
         long_policy.check_against(inst)
     ok = TimeVaryingPolicy.from_actions([[0, 1], [1, 0]])
     ok.check_against(inst)
     assert len(ok) == 2 and not ok.is_empty
-    assert ok.encoding() == ((0, 1), (1, 0))
+    assert ok.rules == ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize(

@@ -180,9 +180,9 @@ def test_verify_mode_catches_an_unjustified_prune(monkeypatch):
     target = GoalSet.from_states([0, 1], 3)
     config = GdsConfig(start=0, target=target, mode="cover")
     assert gds_search(inst, config).found
-    includes = gds.includes
-    monkeypatch.setattr(gds, "includes", lambda a, b, strict: (
-        includes(a, b, strict) if target.mask in (a, b) else True
+    satisfies = gds.satisfies
+    monkeypatch.setattr(gds, "satisfies", lambda goal, other, mode, strict: (
+        satisfies(goal, other, mode, strict) if target.mask in (goal, other) else True
     ))
     mutated = gds_search(inst, config)
     assert not mutated.found and mutated.nodes_pruned > 0
@@ -435,7 +435,7 @@ def test_rules_are_collapsed_on_exact_zeros_not_below_the_threshold():
         assert result.found and result.policy == expected.policy
         assert result.value == expected.value
         assert result.goal == expected.goal == target
-        assert result.policy.encoding() == ((0, 0, 0, 0), (0, 1, 0, 0))
+        assert result.policy.rules == ((0, 0, 0, 0), (0, 1, 0, 0))
 
 
 def test_root_expands_one_rule_per_action_at_the_start():
@@ -658,7 +658,7 @@ def _answer(r):
     """A search's answer alone: what a node-count change must not move."""
     return [
         r.found,
-        r.policy.encoding() if r.found else None,
+        r.policy.rules if r.found else None,
         r.value.hex() if r.found else None,
         r.goal.mask if r.found else None,
     ]

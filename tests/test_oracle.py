@@ -52,7 +52,7 @@ def test_policy_counts():
 
 def test_enumeration_order_shortest_first_then_lexicographic():
     inst = single_state_instance(horizon=2, num_actions=2)
-    encodings = [p.encoding() for p in enumerate_policies(inst, 2)]
+    encodings = [p.rules for p in enumerate_policies(inst, 2)]
     assert encodings == [
         ((0,),), ((1,),),
         ((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,)),
@@ -119,7 +119,7 @@ def test_ties_keep_the_earliest_policy():
         sign_mode="nonpositive",
     )
     best = brute_force_reach(flat, 0, GoalSet.full(1), 2)
-    assert best.policy.encoding() == (((0,),))  # first in canonical order
+    assert best.policy.rules == (((0,),))  # first in canonical order
 
 
 def test_brute_force_optimal_value_cases():
@@ -148,6 +148,9 @@ def test_brute_force_validates_start():
         brute_force_reach(inst, 9, GoalSet.full(2), 2)
     with pytest.raises(ValueError):
         brute_force_reach(inst, 0, GoalSet.full(3), 2)
+    # The start is checked before the budget, as in brute_force_reach.
+    with pytest.raises(ValueError, match="start state 9 out of range"):
+        realizable_goal_sets(generate(1, 3, 2, 5, 0.5), 9, 5, budget=1)
 
 
 def _pin_instances():
@@ -202,7 +205,7 @@ def _oracle_digest():
                     for brute in (brute_force_reach, brute_force_cover):
                         best = brute(inst, start, target, max_len)
                         add([False] if best is None else [
-                            True, best.policy.encoding(), best.value.hex(), best.goal.mask,
+                            True, best.policy.rules, best.value.hex(), best.goal.mask,
                         ])
     return h.hexdigest(), records
 
@@ -244,7 +247,7 @@ def test_memory_stays_bounded_on_two_million_policies():
     # Rewards are negative, so the best policy plays the best first action
     # and stops; a length-1 value is its reward exactly.
     assert best.value == inst.reward[0, 0].max()
-    assert best.policy.encoding() == ((int(inst.reward[0, 0].argmax()),),)
+    assert best.policy.rules == ((int(inst.reward[0, 0].argmax()),),)
     # With one state and a unit kernel, every policy's backup rounds like
     # backward induction's, and rounding is monotone, so the best value is
     # V* to the bit.
@@ -262,12 +265,12 @@ def test_errors_keep_their_order():
     with pytest.raises(OracleBudgetExceeded) as exc:
         brute_force_reach(inst, 0, GoalSet.full(3), 2, budget=71)
     assert exc.value.required == 72
-    with pytest.raises(ValueError, match="max_len"):
-        realizable_goal_sets(inst, 3, 0, budget=1)
-    with pytest.raises(OracleBudgetExceeded):
-        realizable_goal_sets(inst, 3, 1, budget=7)
     with pytest.raises(ValueError, match="start state"):
-        realizable_goal_sets(inst, 3, 1)
+        realizable_goal_sets(inst, 3, 0, budget=1)
+    with pytest.raises(ValueError, match="max_len"):
+        realizable_goal_sets(inst, 0, 0, budget=1)
+    with pytest.raises(OracleBudgetExceeded):
+        realizable_goal_sets(inst, 0, 1, budget=7)
     with pytest.raises(EnumerationCapExceeded):
         brute_force_optimal_value(inst, budget=7)
     with pytest.raises(OracleBudgetExceeded):
