@@ -179,7 +179,8 @@ def q_tables(instance: DmdpInstance, values: ValueTable) -> np.ndarray:
 def greedy_policy(instance: DmdpInstance, values: ValueTable) -> TimeVaryingPolicy:
     """Full-horizon policy that argmaxes the lookahead against `values`
     at every epoch.  Ties break toward the lowest action index."""
-    return TimeVaryingPolicy.from_actions(np.argmax(q_tables(instance, values), axis=2))
+    actions = np.argmax(q_tables(instance, values), axis=2).tolist()
+    return TimeVaryingPolicy(tuple(map(tuple, actions)))
 
 
 def pad_policy(instance: DmdpInstance, policy: TimeVaryingPolicy) -> TimeVaryingPolicy:

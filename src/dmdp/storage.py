@@ -18,14 +18,15 @@ instance.
 read() returns an instance and its digest.  A file whose bytes are
 exactly the canonical text of the instance it holds, as every file save()
 writes is, has the sha256 of its bytes as digest, and its arrays are read
-by the inverse of the kernel: each token is decoded as +-N / 10**f with
-array operations, KERNEL_BLOCK tokens at a time, and kept only where the
-kernel's digits of the double it gives spell that token byte for byte
-(after at most one step to a neighbouring double).  The header and every
-bracket, comma and indentation byte must be the writer's too.  Any other
-file, and files with fewer than KERNEL_MIN_SIZE array entries, are parsed
-whole by json.loads and serialized again for the digest, with the same
-values, digest and errors either way.
+by the inverse of the kernel, READ_BLOCK tokens at a time: each token's
+row of bytes is scanned as three little-endian uint64 words (SWAR) for its
+digits and its point, decoded as +-N / 10**f with array operations, and
+kept only where the kernel's digits of the double it gives spell that
+token byte for byte (after at most one step to a neighbouring double).
+The header and every bracket, comma and indentation byte must be the
+writer's too.  Any other file, and files with fewer than KERNEL_MIN_SIZE
+array entries, are parsed whole by json.loads and serialized again for
+the digest, with the same values, digest and errors either way.
 
 The generator uses a self-contained xorshift64* PRNG seeded per (kind,
 state, action) stream through a splitmix64-style mixer, so instances are
@@ -106,10 +107,10 @@ _WINDOW = (1e-4, 1e16)
 # the kernel's fixed numpy cost ties with one dtoa call per entry at 128
 # entries and wins by 1.4x at 256 (x86_64, 2 vCPUs, numpy 2.4).
 KERNEL_MIN_SIZE = 256
-# Entries formatted or read at once, so that the kernels' temporaries and
-# token lists stay the same size whatever the array's.  Blocks of 4,096
-# write an S=64 file in 18 ms against 21 ms for blocks of 1,024, and read
-# the S=200 file about a quarter faster (medians, same machine).
+# Entries formatted at once, so that the kernel's temporaries and token
+# lists stay the same size whatever the array's.  Blocks of 4,096 write an
+# S=64 file in 18 ms against 21 ms for blocks of 1,024 (medians, same
+# machine).
 KERNEL_BLOCK = 1 << 12
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
@@ -299,7 +300,11 @@ def _text(value: Any, pad: str) -> str:
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         brackets = "[]"
-        items = [_text(item, inner) for item in value]
+        # Lists of ints, such as a policy's rules, skip the dispatch.
+        if all(type(item) is int for item in value):
+            items = list(map(str, value))
+        else:
+            items = [_text(item, inner) for item in value]
     elif isinstance(value, dict):
         brackets = "{}"
         for key in value:
@@ -505,8 +510,31 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
 _TRANSITION = b',\n  "transition": '
 _REWARD = b',\n  "reward": '
 _END = b"\n}\n"
-_COLUMNS = np.arange(_ROW)
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
+# Tokens read at once.  Reading has no token lists to keep small, and
+# blocks of 16,384 read the S=200 file in 48 ms against 56 ms for blocks
+# of 4,096 and 49 ms for blocks of 32,768 (min of 12 interleaved runs,
+# x86_64, 2 vCPUs, numpy 2.4).
+READ_BLOCK = 1 << 14
+
+# The token scan reads each _ROW-byte row as three little-endian uint64
+# words (SWAR), with byte-wise sums that never carry into the next byte.
+
+
+def _each_byte(b: int) -> np.uint64:
+    return np.uint64(b * 0x0101010101010101)
+
+
+_DIGIT_BASE = _each_byte(ord("0"))
+_POINT_BYTE = _each_byte(ord(".") ^ ord("0"))
+_LOW7 = _each_byte(0x7F)
+_ABOVE_9 = _each_byte(0x80 - 10)
+_HIGH = _each_byte(0x80)
+# _KEEP[k]: 0xFF in the last k bytes of a row, the ones a k-byte token
+# right-aligned in it covers.
+_KEEP = np.frombuffer(
+    b"".join(bytes(_ROW - k) + b"\xff" * k for k in range(_ROW + 1)), "<u8"
+).reshape(_ROW + 1, 3)
 
 
 def _eight_digits(w: np.ndarray) -> np.ndarray:
@@ -543,20 +571,41 @@ def _agrees(x, fraction, digits, length) -> np.ndarray:
 
 def _read_tokens(data: bytes, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """The doubles whose canonical tokens are data[starts[i]:ends[i]], given
-    rows[i], the _ROW bytes that end at ends[i]; None if one is not."""
+    rows[i], the _ROW bytes that end at ends[i] as one void item; None if
+    one is not."""
     length = ends - starts
     # Decode each token, right-aligned in its row, as x = +-N / 10**f: its
     # digits make one integer with a 0 in place of the point, and N is
-    # that integer without the 0.
-    within = _COLUMNS >= (_ROW - length)[:, None]
-    point = (rows == ord(".")) & within
-    fraction = _ROW - 1 - point.argmax(axis=1)
-    rows -= ord("0")
-    digit = within & (rows < 10)
+    # that integer without the 0.  rows is a fresh gather, so it is
+    # overwritten: digits become the bytes 0..9, the point 0x1E, and the
+    # bytes before the token 0, a leading zero digit.
+    w = rows.view("<u8").reshape(-1, 3)
+    w ^= _DIGIT_BASE
+    w &= np.take(_KEEP, length, axis=0, mode="clip")
+    # 0x80 in every byte above 9: its low seven bits plus 0x76 reach 0x80,
+    # or its own top bit is set.  And 0x80 in every byte that is the
+    # point, which the xor with 0x1E makes the only zero bytes.
+    other = w & _LOW7
+    other += _ABOVE_9
+    other |= w
+    other &= _HIGH
+    point = w ^ _POINT_BYTE
+    point |= (point & _LOW7) + _LOW7
+    point = ~point & _HIGH
+    others = np.bitwise_count(other)
+    points = np.bitwise_count(point)
     negative = np.frombuffer(data, np.uint8)[starts] == ord("-")
-    plausible = (point.sum(axis=1) == 1) & (digit.sum(axis=1) == length - 1 - negative)
-    rows *= digit
-    words = _eight_digits(rows.view("<i8"))
+    plausible = (points[:, 0] + points[:, 1] + points[:, 2] == 1) & (length < _ROW)
+    plausible &= others[:, 0] + others[:, 1] + others[:, 2] == 1 + negative
+    # A lone point at column c is bit 8c + 7 of the row read as one
+    # 192-bit number, whose frexp exponent is 8c + 8.
+    weights = point.astype(np.float64)
+    row = weights[:, 0] + weights[:, 1] * 2.0**64 + weights[:, 2] * 2.0**128
+    fraction = _ROW - 1 - ((np.frexp(row)[1] - 8) >> 3)
+    other >>= 7
+    other *= 0xFF
+    w &= ~other
+    words = _eight_digits(w.view("<i8"))
     plausible &= words[:, 0] < 100  # so that digits < 10**18 is exact
     digits = (words[:, 0] * 10**8 + words[:, 1]) * 10**8 + words[:, 2]
     below = digits % _POW10_INT[np.minimum(fraction + 1, 18)]
@@ -622,9 +671,11 @@ def _read_array(data: bytes, newlines: np.ndarray, start: int, shape: tuple[int,
     if data[start : starts[0]] != between[0].encode() or data[ends[-1] : end] != closing.encode():
         return None
     values = np.empty(len(starts))
-    rows = sliding_window_view(buf, _ROW)
-    for block in range(0, len(values), KERNEL_BLOCK):
-        part = slice(block, block + KERNEL_BLOCK)
+    # Every _ROW bytes of data as one void item, so that a token's row is
+    # gathered as one copy.
+    rows = np.ndarray((len(data) - _ROW + 1,), np.dtype((np.void, _ROW)), data, strides=(1,))
+    for block in range(0, len(values), READ_BLOCK):
+        part = slice(block, block + READ_BLOCK)
         tokens = _read_tokens(data, rows[ends[part] - _ROW], starts[part], ends[part])
         if tokens is None:
             return None

@@ -543,6 +543,23 @@ def test_reader_reads_the_kernel_sweep_bit_for_bit():
     assert np.array_equal(back.view(np.int64), values.view(np.int64))
 
 
+def test_reader_decodes_every_token_inside_the_window_with_array_operations(monkeypatch):
+    # Only tokens the word-wise scan rejects take the one-token slow path.
+    values = _kernel_sweep_values()
+    a = np.abs(values)
+    values = values[(a >= 1e-4) & (a < 1e16)]
+    values = values[: len(values) // 77 * 77].reshape(-1, 7, 11)
+    data = ("#" * 30 + storage._array_text(values, "  ") + "\n").encode()
+    newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+
+    def slow_path(x):
+        raise AssertionError(f"{x!r} took the slow path")
+
+    monkeypatch.setattr(storage, "_format_float", slow_path)
+    back, _ = storage._read_array(data, newlines, 30, values.shape, "  ")
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
 @pytest.mark.parametrize("name", list(_awkward_arrays()))
 def test_reader_reads_awkward_arrays_bit_for_bit(name):
     values = np.ascontiguousarray(_awkward_arrays()[name])
@@ -550,6 +567,17 @@ def test_reader_reads_awkward_arrays_bit_for_bit(name):
         return  # written as lists, and no instance array is
     back = _read_array_text(values, pad="    ")
     assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+def test_canonical_files_are_read_in_blocks():
+    data = dumps_instance(generate(0, 200, 4, 50, 0.9)).encode()
+    tracemalloc.start()
+    try:
+        assert storage._canonical_instance(data) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(data)
 
 
 def _outcome(call):
@@ -688,9 +716,17 @@ def _token_edits():
         "0.1", "1e-05", "1E5", "0.50", "0", "-0.0", "01.5", "+1.0", ".5", "1.",
         "0.12345678901234567890123", "NaN", "Infinity", "1e999", "00.5", "0.5e0",
         "-0", "1_0.5", " 0.5",
+        # bytes next to the digits, a second point, a "-" inside, a
+        # non-ASCII digit and a 24-byte token
+        "0/5", "0:5", "0.5.5", "0.-5", "1-.5", "0.٥", "0.1234567890123456789012",
+        # 0.10000000000000001 with a "/" for a 0, and with a ":" (ten) for
+        # the 1 and a 0: read as digits, either spells its digits
+        "0.1/000000000000001", "0.0:000000000000001",
     )]
     edits += [(f"reward {spelling}", token(spelling, "reward", 2)) for spelling in (
         "-0.0", "0.0", "-0", "-1e-07", "-9.9999999999999995e-08", "-1.0e-7", "-1",
+        # the longest tokens in and out of the kernel's window
+        "-0.00012345678901234567", "-1.2345678901234567e-100",
     )]
     edits += [
         ("integer too large for a double", token("1" + "0" * 400)),
@@ -731,7 +767,10 @@ def test_read_of_other_spellings_and_broken_files_is_that_of_the_parser(
     path.write_bytes(edit(text).encode())
     canonical = _assert_read_as_parsed(path, monkeypatch)
     # A canonical token in place of another is still canonical.
-    spelled_canonically = ("-0.0", "reward -0.0", "reward 0.0", "reward -9.9999999999999995e-08")
+    spelled_canonically = (
+        "-0.0", "reward -0.0", "reward 0.0", "reward -9.9999999999999995e-08",
+        "reward -0.00012345678901234567", "reward -1.2345678901234567e-100",
+    )
     assert canonical == (name in spelled_canonically)
 
 
