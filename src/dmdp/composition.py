@@ -2,8 +2,7 @@
 
 The goal set of a policy from a start state is the support of the state
 distribution at the policy's final epoch — the set of states the policy
-can land in.  Support uses a strict positivity threshold so that exact
-zeros produced by sparse kernels stay out.
+can land in: the states whose mass is > 0.0.
 
 `satisfies` is the goal constraint that the search, the oracles and
 target_unreachable share: reach wants the goal set inside the target,
@@ -18,9 +17,6 @@ import numpy as np
 
 from .bellman import evaluate_policy, _rule_kernel
 from .core import DmdpInstance, TimeVaryingPolicy
-
-# Probabilities at or below this are treated as "cannot happen".
-SUPPORT_THRESHOLD = 1e-12
 
 # States are packed into an int bitmask; beyond this width the encoding
 # (and exhaustive goal-set reasoning generally) stops being sensible.
@@ -113,14 +109,14 @@ def _state_bits(num_states: int) -> np.ndarray:
 
 
 def support_masks(dists: np.ndarray) -> np.ndarray:
-    """Bitmask (uint64) of the states carrying mass above
-    SUPPORT_THRESHOLD, for each distribution along the last axis."""
+    """Bitmask (uint64) of the states carrying any mass, for each
+    distribution along the last axis."""
     dists = np.asarray(dists)
-    return (dists > SUPPORT_THRESHOLD) @ _state_bits(dists.shape[-1])
+    return (dists > 0.0) @ _state_bits(dists.shape[-1])
 
 
 def support_of(dist: np.ndarray) -> GoalSet:
-    """States carrying probability mass above SUPPORT_THRESHOLD."""
+    """States carrying any probability mass."""
     dist = np.asarray(dist)
     return GoalSet(int(support_masks(dist)), dist.shape[0])
 
@@ -143,16 +139,15 @@ def target_unreachable(
       after exactly k steps are G_k = {s : some supp P[s, a] lies inside
       G_{k-1}}.  A goal set is a proper subset of the target iff it lies
       inside the target less one of its members, so strict reach runs that
-      test once per member.  Goal sets threshold mass at
-      SUPPORT_THRESHOLD, which can only drop states, so the test is exact
-      only when every state a policy can reach keeps more than that mass:
-      the guard min(positive P) ** horizon > 2 * SUPPORT_THRESHOLD, whose
-      factor 2 absorbs rounding.  Without it there is no verdict.
+      test once per member.  A state no positive-probability path reaches
+      gets only 0 * P terms, exact zeros, so a goal set is exactly the
+      states such paths reach, unless a path's mass underflows to 0.  That
+      cannot happen while min(positive P) ** horizon is a normal double;
+      below that there is no verdict.
     cover: a goal set after k steps lies inside R_k, the states that some
       actions reach from start in exactly k steps, so the target must lie
       inside R_k (properly when strict) for some k.  This is a necessary
-      condition only, and needs no guard: thresholded support always lies
-      inside structural support.
+      condition only, and needs no guard: underflow can only drop states.
     """
     num_states, horizon = instance.num_states, instance.horizon
     structural = instance.transition > 0
@@ -165,7 +160,8 @@ def target_unreachable(
             if satisfies(int(reachable @ bits), target.mask, "cover", strict):
                 return False
         return True
-    if float(instance.transition[structural].min()) ** horizon <= 2 * SUPPORT_THRESHOLD:
+    # Above the smallest normal double, no product along a path can round to 0.
+    if float(instance.transition[structural].min()) ** horizon < np.finfo(np.float64).tiny:
         return False
     in_target = np.array([s in target for s in range(num_states)])
     insides = [in_target & (states != t) for t in target.members()] if strict else [in_target]

@@ -27,11 +27,10 @@ expanded once, through its canonical member: the rule taking action 0 on
 every zero-mass state.  It is first of its class in rule order, and each
 skipped twin would pop after it (same value and depth, later path), so
 the returned policy, value and tie-breaks are those of expanding every
-rule.  A node's A^|nonzero states| children come from its nonzero states
-alone, never from all A^S rules; past RULE_ENUMERATION_CAP they raise
-EnumerationCapExceeded.  Exact zero decides, not SUPPORT_THRESHOLD: mass
-below the threshold still moves values.  nodes_popped and nodes_pruned
-count canonical nodes only.
+rule.  A node's nonzero states are its goal set, so its A^|goal set|
+children come from its goal mask alone, never from all A^S rules; past
+RULE_ENUMERATION_CAP they raise EnumerationCapExceeded.  nodes_popped and
+nodes_pruned count canonical nodes only.
 """
 
 from __future__ import annotations
@@ -85,14 +84,6 @@ class QueueInvariantViolation(DmdpError):
     """Verify mode found a node value disagreeing with exact evaluation."""
 
 
-def _nonzero(dist: np.ndarray) -> np.ndarray:
-    """The states where dist has any mass at all.  Rules that agree on them
-    give bit-identical children: validate's non_finite rule keeps every
-    entry of P and R finite, so the others contribute 0*P and 0*R, which
-    are exact zeros."""
-    return dist != 0.0
-
-
 def _twins(instance: DmdpInstance, rows: list, zero: np.ndarray):
     """Whether `rows` are every rule playing action 0 on the `zero` states,
     once each and in rule order; and the kernels and reward rows of their
@@ -131,7 +122,7 @@ class GdsConfig:
     (bellman.evaluate_extensions) values them all, bit-equal to
     evaluate_policy on each.  Verify mode also searches targets proved
     unreachable at the root, and checks that the drain finds nothing.  It
-    also re-derives each expansion's classes from exact zeros (dist != 0.0),
+    also re-derives each expansion's classes from exact zeros (dist == 0.0),
     and checks that each expanded rule's twins, which play one action b != 0
     on every zero-mass state, give children with bit-equal values and
     distributions.
@@ -182,13 +173,13 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
 
     S, A = instance.num_states, instance.num_actions
     mode, strict = config.mode, config.strict_subset
-    # Per set of nonzero states, filled on first use: the canonical rules,
-    # their kernels and their reward rows [epoch, rule], whose strided rows
-    # BLAS sums in another order than contiguous ones, so a copy would move
-    # last bits (the pinned-hash test in test_gds.py shows it); in verify
-    # mode, also the _twins tables.
-    expansions: dict[bytes, tuple] = {}
-    twins: dict[bytes, tuple] = {}
+    # Per goal mask, filled on first use: the canonical rules, their
+    # kernels and their reward rows [epoch, rule], whose strided rows BLAS
+    # sums in another order than contiguous ones, so a copy would move last
+    # bits (the pinned-hash test in test_gds.py shows it); in verify mode,
+    # also the _twins tables.
+    expansions: dict[int, tuple] = {}
+    twins: dict[int, tuple] = {}
 
     def members(mask: int) -> tuple[int, ...]:
         return GoalSet(mask, S).members()
@@ -260,28 +251,29 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
             continue
 
         # Expand one rule per class at once: the children's distributions,
-        # values and goal sets, in rule order.
-        on = _nonzero(dist)
-        key = on.tobytes()
-        if key not in expansions:
-            required = A ** int(on.sum())
+        # values and goal sets, in rule order.  Rules that agree on the goal
+        # set give bit-identical children: validate keeps every entry of P
+        # and R finite, so the other states contribute exact zeros.
+        if mask not in expansions:
+            required = A ** mask.bit_count()
             if required > RULE_ENUMERATION_CAP:
                 raise EnumerationCapExceeded(required=required, cap=RULE_ENUMERATION_CAP)
-            rows = list(itertools.product(*[range(A) if o else (0,) for o in on.tolist()]))
-            expansions[key] = rows, _rule_kernel(instance, rows), _rule_rewards(instance, rows)
-        rows, kernels, rewards = expansions[key]
+            rows = list(itertools.product(*[range(A) if mask >> s & 1 else (0,)
+                                            for s in range(S)]))
+            expansions[mask] = rows, _rule_kernel(instance, rows), _rule_rewards(instance, rows)
+        rows, kernels, rewards = expansions[mask]
         child_dists = dist @ kernels
         child_values = value + instance.gamma**depth * np.vecdot(rewards[depth], dist)
         if config.verify:
-            # Re-derive the classes from exact zeros, not from _nonzero.  Once
-            # they match `on`, the first node's tables for this key hold.
+            # Re-derive the classes from exact zeros, not from the mask.  Once
+            # they match it, the first node's tables for this mask hold.
             zero = dist == 0.0
-            if key not in twins:
-                twins[key] = _twins(instance, rows, zero)
-            complete, twin_kernels, twin_rewards = twins[key]
+            if mask not in twins:
+                twins[mask] = _twins(instance, rows, zero)
+            complete, twin_kernels, twin_rewards = twins[mask]
             twin_values = value + instance.gamma**depth * np.vecdot(twin_rewards[depth], dist)
             copies = len(twin_kernels) // len(rows)
-            if not (complete and np.array_equal(zero, ~on)
+            if not (complete and int(support_masks(~zero)) == mask
                     and (dist @ twin_kernels).tobytes() == child_dists.tobytes() * copies
                     and twin_values.tobytes() == child_values.tobytes() * copies):
                 raise QueueInvariantViolation(

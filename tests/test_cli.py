@@ -240,11 +240,16 @@ def test_trace_file_records_the_search(instance_file, tmp_path):
 
 def test_search_nodes_are_capped_one_at_a_time(tmp_path):
     # The rule table of both instances (3^8 = 6,561 rules) exceeds the
-    # cap.  A dense instance fails at its first wide node; a sparse one
-    # whose expanded nodes stay narrow is answered.
+    # cap.  The root verdict proves the dense query absent without a pop;
+    # verify mode searches past it and fails at its first wide node.  A
+    # sparse instance whose expanded nodes stay narrow is answered.
     wide = tmp_path / "wide.json"
     save(generate(1, 8, 3, 12, 0.5), wide)
     proc = run_cli("solve-reach", str(wide), "--start", "0", "--target", "0")
+    assert proc.returncode == 2
+    result = report_of(proc)["result"]
+    assert not result["found"] and result["nodes_popped"] == 0
+    proc = run_cli("solve-reach", str(wide), "--start", "0", "--target", "0", "--verify")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == (
         "error: enumerating decision rules requires 6561 rules, exceeding the cap of 4096\n"

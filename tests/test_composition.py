@@ -29,16 +29,21 @@ def random_policy(instance, rng, length):
 
 def endpoint_states_by_paths(instance, policy, start):
     """Independent goal-set oracle: walk every trajectory whose one-step
-    probabilities are all positive and collect the end states."""
-    ends = set()
+    probabilities are all positive and collect the end states.  A state
+    already walked at a depth is not walked again: its trajectories end
+    where they ended the first time."""
+    ends, walked = set(), set()
 
     def walk(state, depth):
+        if (state, depth) in walked:
+            return
+        walked.add((state, depth))
         if depth == len(policy):
             ends.add(state)
             return
         row = instance.transition[state, policy.rules[depth][state]]
         for nxt in range(instance.num_states):
-            if row[nxt] > 1e-12:
+            if row[nxt] > 0.0:
                 walk(nxt, depth + 1)
 
     walk(start, 0)
@@ -196,6 +201,31 @@ def test_goal_set_matches_path_enumeration():
         start = int(rng.integers(4))
         expected = endpoint_states_by_paths(inst, policy, start)
         assert set(goal_set(inst, policy, start).members()) == expected
+
+
+def test_goal_set_matches_path_enumeration_at_long_horizons():
+    # Fixed policies of 10 and 12 epochs from every start state: each
+    # instance's narrowest and widest stationary rules (fewest and most
+    # successors per state) and one random policy.  Random rows mix to the
+    # full state set, so the stationary rules keep the goal sets varied,
+    # and some end states keep only a sliver of mass.
+    goals, least = set(), 1.0
+    for num_states in (3, 4):
+        for seed in range(30):
+            inst = sparse_instance(seed, num_states, 2, 12)
+            width = (inst.transition > 0).sum(axis=2)
+            rng = np.random.default_rng(200 + seed)
+            for length in (10, 12):
+                policies = [TimeVaryingPolicy.from_actions(np.tile(rule, (length, 1)))
+                            for rule in (width.argmin(axis=1), width.argmax(axis=1))]
+                policies.append(random_policy(inst, rng, length))
+                for policy, start in itertools.product(policies, range(num_states)):
+                    expected = endpoint_states_by_paths(inst, policy, start)
+                    found = goal_set(inst, policy, start)
+                    assert set(found.members()) == expected
+                    goals.add((num_states, found.mask))
+                    least = min(least, propagate(inst, policy, start)[-1][list(expected)].min())
+    assert len(goals) >= 15 and least < 1e-8
 
 
 def test_goal_set_requires_nonempty_policy():

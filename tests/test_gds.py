@@ -26,8 +26,8 @@ from dmdp import (
     generate,
     goal_set,
 )
-from dmdp import gds
-from dmdp.composition import SUPPORT_THRESHOLD, target_unreachable
+from dmdp import composition, gds
+from dmdp.composition import target_unreachable
 from dmdp.core import RULE_ENUMERATION_CAP
 
 
@@ -207,7 +207,7 @@ def test_pruning_never_changes_the_answer():
     assert sum(e["event"] == "prune" for e in second.trace) == first.nodes_pruned
 
 
-@pytest.mark.xfail(strict=True, reason="epsilon pruning is unsound (ROADMAP item 1)")
+@pytest.mark.xfail(strict=True, reason="epsilon pruning is unsound (ROADMAP item 3)")
 def test_pruning_keeps_the_best_cover_on_sparse_3x2x4():
     # The record for goal {0} is the depth-1 node (1,0,0), whose own depth-2
     # child, the prefix of the optimal policy, is then pruned against it.
@@ -392,9 +392,9 @@ def test_root_verdict_agrees_with_enumeration(sparse_sweep):
     assert all(verdicts[key] > 0 for key in itertools.product(("reach", "cover"), (False, True)))
 
 
-def test_root_verdict_defers_to_the_support_threshold():
-    # Structurally state 0 always leads to state 1 too, but with mass
-    # 1e-13, below SUPPORT_THRESHOLD, so the goal set of one step is {0}.
+def test_tiny_mass_counts_toward_the_goal_set():
+    # State 0 always leads to state 1 too, with mass 1e-13, which is still
+    # mass: every goal set holds state 1, so reach {0} is impossible.
     P = np.zeros((2, 2, 2))
     P[0, :] = [1 - 1e-13, 1e-13]
     P[1, :] = [0.0, 1.0]
@@ -403,17 +403,58 @@ def test_root_verdict_defers_to_the_support_threshold():
         transition=P, reward=np.full((2, 2, 2), -0.5), sign_mode="nonpositive",
     )
     target = GoalSet.from_states([0], 2)
+    assert target_unreachable(inst, 0, target)
+    drained = gds_search(inst, GdsConfig(start=0, target=target, verify=True))
+    assert not drained.found and drained.nodes_popped > 0
+    assert brute_force_reach(inst, 0, target, inst.horizon) is None
+
+
+def leaky_chain_instance(p):
+    """State 0 moves to state 1, or to state 2 with probability p; state 2
+    moves to state 1, or to state 3 with probability p; states 1 and 3
+    absorb.  Every two-step policy from state 0 puts mass p * p on state 3,
+    which is 0 when it underflows."""
+    P = np.zeros((4, 2, 4))
+    P[0, :] = [0.0, 1 - p, p, 0.0]
+    P[2, :] = [0.0, 1 - p, 0.0, p]
+    P[1, :, 1] = P[3, :, 3] = 1.0
+    reward = np.full((2, 4, 2), -0.5)
+    reward[:, :, 1] = -0.25
+    return DmdpInstance(
+        num_states=4, num_actions=2, horizon=2, gamma=0.5, r_max=1.0,
+        transition=P, reward=reward, sign_mode="nonpositive",
+    )
+
+
+def test_root_verdict_is_withheld_where_a_path_mass_can_underflow():
+    target = GoalSet.from_states([1], 4)
+    tiny = np.finfo(np.float64).tiny
+    # 1e-200 ** 2 underflows, so a two-step policy ends inside {1} though
+    # state 3 is structurally reachable: a verdict would be wrong.
+    inst = leaky_chain_instance(1e-200)
     assert not target_unreachable(inst, 0, target)
-    result = gds_search(inst, GdsConfig(start=0, target=target))
-    assert result.found and len(result.policy) == 1 and result.goal == target
+    best = brute_force_reach(inst, 0, target, inst.horizon)
+    for verify in (False, True):
+        result = gds_search(inst, GdsConfig(start=0, target=target, verify=verify))
+        assert result.found and result.policy == best.policy and result.value == best.value
+    # sqrt(tiny) is 2 ** -511: one ulp below it min P ** horizon is
+    # subnormal and gets no verdict; one ulp above it is normal and gets
+    # the exact one.  Both targets are unreachable.
+    below, above = (np.nextafter(np.sqrt(tiny), side) for side in (0.0, 1.0))
+    assert below**2 < tiny <= above**2
+    for p, verdict in ((below, False), (above, True)):
+        inst = leaky_chain_instance(p)
+        assert target_unreachable(inst, 0, target) == verdict
+        assert brute_force_reach(inst, 0, target, inst.horizon) is None
+        drained = gds_search(inst, GdsConfig(start=0, target=target, verify=True))
+        assert not drained.found and drained.nodes_popped > 0
 
 
 def tiny_mass_instance():
-    """From state 0 every action puts mass 1e-13 on state 1, below
-    SUPPORT_THRESHOLD but not zero, and the rest on state 2; the next step
-    sends everything to state 3.  State 1's action 1 is free where action
-    0 costs 1, so the best two-step policy takes action 1 on state 1 at
-    epoch 1."""
+    """From state 0 every action puts mass 1e-13 on state 1, tiny but not
+    zero, and the rest on state 2; the next step sends everything to state
+    3.  State 1's action 1 is free where action 0 costs 1, so the best
+    two-step policy takes action 1 on state 1 at epoch 1."""
     P = np.zeros((4, 2, 4))
     P[0, :] = [0.0, 1e-13, 1 - 1e-13, 0.0]
     P[1:, :, 3] = 1.0
@@ -455,17 +496,48 @@ def test_root_expands_one_rule_per_action_at_the_start():
         assert all(a == 0 for rule in root for s, a in enumerate(rule) if s != start)
 
 
+def masks_above_1e_12(dists):
+    """A mutant of support_masks that drops mass at or below 1e-12."""
+    return composition.support_masks(np.where(np.asarray(dists) > 1e-12, dists, 0.0))
+
+
 def test_verify_mode_catches_a_collapse_on_the_support_threshold(monkeypatch):
-    # Selecting rules by the support threshold instead of exact zero would
-    # skip state 1's free action at epoch 1 and return a worse policy.
+    # Goal masks that drop mass at or below 1e-12 would select rules by
+    # that threshold instead of exact zero, skip state 1's free action at
+    # epoch 1 and return a worse policy.
     inst = tiny_mass_instance()
     target = GoalSet.from_states([3], 4)
     best = brute_force_reach(inst, 0, target, inst.horizon)
-    monkeypatch.setattr(gds, "_nonzero", lambda dist: dist > SUPPORT_THRESHOLD)
+    monkeypatch.setattr(gds, "support_masks", masks_above_1e_12)
     mutated = gds_search(inst, GdsConfig(start=0, target=target))
     assert mutated.found and mutated.value < best.value
     with pytest.raises(QueueInvariantViolation, match="one per class"):
         gds_search(inst, GdsConfig(start=0, target=target, verify=True))
+
+
+def test_verify_mode_catches_a_goal_mask_off_the_exact_zeros(monkeypatch):
+    # From state 0, action 1 (cheaper) sends everything to state 2 and
+    # action 0 leaks 1e-13 onto state 1; states 1-3 then move to state 3
+    # whatever they play.  Under the mutant both children of the root
+    # have goal mask {2}, and the second reuses the first's expansion: its
+    # children are bit-equal anyway, so only the goal mask, checked
+    # against the exact zeros, shows that the classes are wrong.
+    P = np.zeros((4, 2, 4))
+    P[0, 0] = [0.0, 1e-13, 1 - 1e-13, 0.0]
+    P[0, 1] = [0.0, 0.0, 1.0, 0.0]
+    P[1:, :, 3] = 1.0
+    reward = np.full((2, 4, 2), -0.5)
+    reward[0, 0, 1] = -0.25
+    inst = DmdpInstance(
+        num_states=4, num_actions=2, horizon=2, gamma=0.5, r_max=1.0,
+        transition=P, reward=reward, sign_mode="nonpositive",
+    )
+    config = GdsConfig(start=0, target=GoalSet.from_states([3], 4), verify=True)
+    expected = gds_search(inst, config)
+    monkeypatch.setattr(gds, "support_masks", masks_above_1e_12)
+    assert gds_search(inst, dataclasses.replace(config, verify=False)) == expected
+    with pytest.raises(QueueInvariantViolation, match="one per class"):
+        gds_search(inst, config)
 
 
 def test_verify_mode_drains_and_checks_the_root_verdict(monkeypatch):
@@ -575,12 +647,16 @@ def test_narrow_nodes_are_searchable_when_the_rule_table_is_not():
 
 def test_a_wide_node_raises_before_its_children_are_built():
     # Dense kernels: every node below the root has all 8 states nonzero.
+    # The root verdict proves reach {0} absent; verify mode searches past
+    # it, so it reaches the first wide node.
     inst = generate(1, 8, 3, 12, 0.5)
     target = GoalSet.from_states([0], 8)
+    proved = gds_search(inst, GdsConfig(start=0, target=target))
+    assert not proved.found and proved.nodes_popped == 0
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationCapExceeded) as exc:
-            gds_search(inst, GdsConfig(start=0, target=target))
+            gds_search(inst, GdsConfig(start=0, target=target, verify=True))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
