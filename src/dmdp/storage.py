@@ -5,15 +5,16 @@ through a small deterministic serializer that renders every float with 17
 significant digits (enough to reproduce any double exactly on reload), so
 identical instances always produce identical bytes — which is also what
 makes content digests and golden-report comparisons meaningful.  A
-float64 array is written with the bytes its nested lists would give: a
-skeleton of brackets and separators built from its shape, filled with one
-token per entry, KERNEL_BLOCK entries at a time.  Arrays of at least
-KERNEL_MIN_SIZE entries get their tokens from an exact array kernel for
-1e-4 <= |x| < 1e16 (Dekker's error-free product with an exact power of
-ten gives the 17 correctly rounded digits); zeros, entries outside that
-window and smaller arrays take one _format_float call each.  save()
-returns the sha256 of the bytes it wrote, which is digest() of the
-instance.
+float64 array is written with the bytes its nested lists would give.
+Arrays of at least KERNEL_MIN_SIZE entries are written KERNEL_BLOCK
+entries at a time, as rows of little-endian uint64 words, one per entry:
+the text before it, from a per-depth table, then its token, spelled a
+word at a time (SWAR) from its exact 17 digits for 1e-4 <= |x| < 1e16
+(Dekker's error-free product with an exact power of ten gives them); a
+block's text is its rows without their NULs.  Zeros, entries outside that
+window and smaller arrays take one _format_float call each.  Instance
+files are assembled as bytes, the header from dumps_json.  save() returns
+the sha256 of the bytes it wrote, which is digest() of the instance.
 
 read() returns an instance and its digest.  A file whose bytes are
 exactly the canonical text of the instance it holds, as every file save()
@@ -103,15 +104,16 @@ def _wrap(items: list[str], pad: str, brackets: str) -> str:
 # exact double for every E in the window, so Dekker's two-product gives
 # the unrounded |x| * 10**(16 - E) as hi + lo.
 _WINDOW = (1e-4, 1e16)
-# Arrays with fewer entries than this are formatted by _format_float alone:
-# the kernel's fixed numpy cost ties with one dtoa call per entry at 128
-# entries and wins by 1.4x at 256 (x86_64, 2 vCPUs, numpy 2.4).
+# Arrays with fewer entries than this are formatted by _format_float alone,
+# and files whose arrays hold fewer in all are parsed by json.loads
+# (_canonical_instance): the writer's fixed numpy cost ties with one dtoa
+# call per entry between 128 and 256 entries and wins by 1.4x at 256
+# (medians, x86_64, 2 vCPUs, numpy 2.4).
 KERNEL_MIN_SIZE = 256
-# Entries formatted at once, so that the kernel's temporaries and token
-# lists stay the same size whatever the array's.  Blocks of 4,096 write an
-# S=64 file in 18 ms against 21 ms for blocks of 1,024 (medians, same
-# machine).
-KERNEL_BLOCK = 1 << 12
+# Entries written at once, so that the writer's temporaries stay the same
+# size whatever the array's.  Blocks of 8,192 write an S=64 file in 6.4 ms
+# against 6.6 ms for 4,096 and 9.7 ms for 1,024 (medians, same machine).
+KERNEL_BLOCK = 1 << 13
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _VELTKAMP = 134217729.0  # 2**27 + 1
@@ -125,36 +127,6 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _POW10_HI, _POW10_LO = _split(_POW10)
-
-# A token is assembled from a 24-byte source row per entry: three NULs, the
-# 17 digits of D (bytes 3..19), then "0", ".", "-" and a NUL.  Digits come
-# as four-digit groups, one uint32 of ASCII bytes each, read from a table.
-_ROW = 24
-_LEADS = np.frombuffer(b"".join(b"\0\0\0" + b"%d" % i for i in range(10)), np.uint32)
-_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)), np.uint32)
-_TAIL = np.frombuffer(b"0.-\0", np.uint32)[0]
-_ZERO, _POINT, _MINUS, _NUL = 20, 21, 22, 23
-_EXPONENTS = range(-4, 16)
-_WIDTH = 23  # "-0.000" and 17 digits
-
-
-def _layout(negative: bool, e: int) -> list[int]:
-    """Source bytes of the unstripped token of a value with exponent e."""
-    digits = [3 + j for j in range(17)]
-    if e < 0:
-        body = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits
-    else:
-        body = digits[: e + 1] + [_POINT] + digits[e + 1 :]
-    return [_MINUS] * negative + body
-
-
-_LAYOUTS = [_layout(negative, e) for negative in (False, True) for e in _EXPONENTS]
-_LAYOUT = np.array([row + [_NUL] * (_WIDTH - len(row)) for row in _LAYOUTS], dtype=np.intp)
-_LENGTH = np.array([len(row) for row in _LAYOUTS], dtype=np.intp)
-# The most trailing zeros that can go: all of the 16 - E fraction digits
-# but one, which keeps ".0" on integral values.
-_STRIP = np.array([15 - e for e in _EXPONENTS] * 2, dtype=np.intp)
-_TOKEN = np.dtype(("U", _WIDTH))
 
 
 def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,36 +160,95 @@ def _kernel_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _kernel_tokens(x: np.ndarray) -> list[str]:
-    """[_format_float(v) for v in x] for a 1-D float64 array x, computed
-    exactly with array operations for the entries inside the window; the
-    others (zeros, tiny, huge and non-finite entries) go to _format_float,
-    in order, so the first non-finite entry raises."""
+# Text is written and read as little-endian uint64 words, eight bytes at a
+# time (SWAR: SIMD within a register), with byte-wise sums that never carry
+# into the next byte.
+def _each_byte(b: int) -> np.uint64:
+    return np.uint64(b * 0x0101010101010101)
+
+
+_DIGIT_BASE, _LOW7, _HIGH = _each_byte(ord("0")), _each_byte(0x7F), _each_byte(0x80)
+
+# A token inside the window is written into a row of three words, with
+# NULs before and after it: a head word, then digits 2..9 and digits 10..17
+# of D.  The head ends in the lead digit, after the sign and, when E < 0,
+# "0." and -E - 1 zeros (_HEAD, indexed by negative * 20 + E + 4).  When
+# E >= 0 the point goes before byte 8 + E, and the bytes before it move one
+# to the left to make room.
+_EXPONENTS = range(-4, 16)
+_PREFIXES = ["-" * negative + ("0." + "0" * (-e - 1) if e < 0 else "")
+             for negative in (0, 1) for e in _EXPONENTS]
+_HEAD = np.frombuffer("".join(p.rjust(7, "\0") + "\0" for p in _PREFIXES).encode(), "<u8")
+
+
+def _token_masks(e: int) -> bytes:
+    """For a value with exponent e, three masks over its 24-byte token row:
+    the bytes at or after the point, the bytes that end up before it, and
+    the point; then one over its last 16 bytes, the digits: those up to the
+    first after the point, which stays even where it is a zero."""
+    if e < 0:  # the point is the head's
+        return b"\xff" * 24 + bytes(64)
+    p = 8 + e
+    return (bytes(p) + b"\xff" * (24 - p) + b"\xff" * (p - 1) + bytes(25 - p)
+            + bytes(p - 1) + b"." + bytes(24 - p) + b"\xff" * (p - 7) + bytes(23 - p))
+
+
+_MASKS = np.frombuffer(b"".join(map(_token_masks, _EXPONENTS)), "<u8").reshape(-1, 11)
+_AFTER, _BEFORE, _POINT, _FRACTION = (m.copy() for m in np.split(_MASKS, [3, 6, 9], axis=1))
+
+
+def _token_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The token rows of the entries of the 1-D float64 array x that lie
+    inside the window, shape (len(x), 3), and where x lies inside it."""
     a = np.abs(x)
     inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
     a[~inside] = 1.0
     e, d = _kernel_digits(a)
+    row = e - _EXPONENTS[0]
+    lead, d = np.divmod(d.view(np.uint64), 10**16)
+    # Digits 2..9 and 10..17, one byte each, most significant first: each
+    # number is split into two of four digits, then two, then one, the
+    # low half going to the high half of its lane.  (v * 5243) >> 19 is
+    # v // 100 for v < 10**4, and (v * 103) >> 10 is v // 10 for v < 100.
+    v = np.stack(np.divmod(d, 10**8), axis=1)
+    q = v // 10**4
+    v = q | (v - q * 10**4) << 32
+    q = (v * 5243 >> 19) & 0x0000007F0000007F
+    v = q | (v - q * 100) << 16
+    q = (v * 103 >> 10) & 0x000F000F000F000F
+    v = q | (v - q * 10) << 8
+    # Trailing zeros become NULs: every byte after the last nonzero digit
+    # goes, unless it is the first digit after the point.
+    keep = (v + _LOW7) & _HIGH
+    for shift in (8, 16, 32):
+        keep |= keep >> shift
+    keep = (keep >> 7) * 0xFF
+    keep[:, 0][v[:, 1] != 0] = _M64
+    keep |= np.take(_FRACTION, row, axis=0)
+    v += _DIGIT_BASE
+    v &= keep
+    token = np.empty((len(x), 3), np.uint64)
+    token[:, 0] = np.take(_HEAD, (x < 0) * len(_EXPONENTS) + row) | (lead + ord("0")) << 56
+    token[:, 1] = v[:, 0]
+    token[:, 2] = v[:, 1]
+    if e.max() >= 0:
+        # Every word's bytes one to the left and the next word's first byte
+        # last; a row's last word takes the next row's, which no mask keeps.
+        flat = token.ravel()
+        moved = flat >> 8
+        moved[:-1] |= flat[1:] << 56
+        moved &= np.take(_BEFORE, row, axis=0).ravel()
+        flat &= np.take(_AFTER, row, axis=0).ravel()
+        flat |= moved
+        flat |= np.take(_POINT, row, axis=0).ravel()
+    return token, inside
 
-    n = len(x)
-    source = np.empty((n, _ROW // 4), np.uint32)
-    for word in (4, 3, 2, 1):
-        q = d // 10**4
-        source[:, word] = _QUADS[d - q * 10**4]
-        d = q
-    source[:, 0] = _LEADS[d]
-    source[:, 5] = _TAIL
-    source = source.view(np.uint8)
-    trailing_zeros = (source[:, 19:2:-1] != ord("0")).argmax(axis=1)
-    key = (x < 0) * len(_EXPONENTS) + (e - _EXPONENTS[0])
-    index = _LAYOUT[key]
-    index += np.arange(0, n * _ROW, _ROW)[:, None]
-    chars = source.ravel()[index]
-    length = _LENGTH[key] - np.minimum(trailing_zeros, _STRIP[key])
-    chars *= np.arange(_WIDTH) < length[:, None]
-    tokens = chars.astype(np.uint32).view(_TOKEN).ravel().tolist()
-    for i in np.flatnonzero(~inside).tolist():
-        tokens[i] = _format_float(float(x[i]))
-    return tokens
+
+def _template(shape: tuple[int, ...], pad: str) -> str:
+    """The text of an array of this shape indented by pad, %s for each entry."""
+    if not shape:
+        return "%s"
+    return _wrap([_template(shape[1:], pad + "  ")] * shape[0], pad, "[]")
 
 
 def _separators(ndim: int, pad: str) -> tuple[list[str], str]:
@@ -225,60 +256,58 @@ def _separators(ndim: int, pad: str) -> tuple[list[str], str]:
     whose container lines are indented by pad: texts[d] precedes an entry
     that is the first of a container at depth d and of none shallower
     (texts[ndim]: of none, texts[0]: the first entry), and the second
-    value closes the array."""
-    pads = [pad + "  " * depth for depth in range(ndim + 1)]
-
-    def opening(depth: int) -> str:
-        inner = "".join("\n" + pads[k] + "[" for k in range(depth + 1, ndim))
-        return "[" + inner + "\n" + pads[ndim]
-
-    def closing(depth: int) -> str:
-        return "".join("\n" + pads[k] + "]" for k in range(ndim - 1, depth - 1, -1))
-
-    texts = [opening(0)]
-    texts += [closing(depth) + ",\n" + pads[depth] + opening(depth) for depth in range(1, ndim)]
-    texts.append(",\n" + pads[ndim])
-    return texts, closing(0)
+    value closes the array.  Entry 1 of an array whose shape is all 1s but
+    a 2 on axis d - 1 is the first such entry for depth d."""
+    pieces = [_template((1,) * (d - 1) + (2,) + (1,) * (ndim - d), pad).split("%s")
+              for d in range(1, ndim + 1)]
+    return [pieces[0][0]] + [p[1] for p in pieces], pieces[0][-1]
 
 
-def _skeleton(shape: tuple[int, ...], pad: str) -> list[str]:
-    """The n + 1 texts around the n entries of an array of this shape in
-    C order, whose container lines are indented by pad: text i precedes
-    entry i, and text n closes the array."""
-    ndim = len(shape)
+def _array_chunks(value: np.ndarray, pad: str):
+    """The bytes of the text of a float64 array with at least one dimension
+    and entry, whose container lines are indented by pad: those of
+    value.tolist(), one block of entries at a time.  Each entry has a row
+    of words: the text before it, right-aligned, then its token; the
+    block's text is the rows without their NULs."""
+    if value.size < KERNEL_MIN_SIZE:
+        tokens = tuple([_format_float(v) for v in value.ravel().tolist()])
+        yield (_template(value.shape, pad) % tokens).encode()
+        return
+    shape, ndim = value.shape, value.ndim
     between, closing = _separators(ndim, pad)
-    n = math.prod(shape)
-    texts = [between[ndim]] * (n + 1)
-    stride = 1
-    # Entry i opens a new container at depth d when i is a multiple of the
-    # size of one; deeper boundaries are written first and overwritten.
-    for depth in range(ndim - 1, 0, -1):
-        stride *= shape[depth]
-        texts[stride:n:stride] = [between[depth]] * ((n - 1) // stride)
-    texts[0] = between[0]
-    texts[n] = closing
-    return texts
-
-
-def _array_text(value: np.ndarray, pad: str) -> str:
-    """The text of a float64 array with at least one dimension and entry:
-    the bytes of value.tolist(), one block of entries at a time."""
+    width = -(-max(map(len, between)) // 8)
+    separators = "".join(text.rjust(8 * width, "\0") for text in between)
+    separators = np.frombuffer(separators.encode(), "<u8").reshape(-1, width)
     flat = value.ravel()
-    n = flat.size
-    texts = _skeleton(value.shape, pad)
-    chunks = []
-    for start in range(0, n, KERNEL_BLOCK):
-        block = flat[start : start + KERNEL_BLOCK]
-        if n < KERNEL_MIN_SIZE:
-            tokens = [_format_float(v) for v in block.tolist()]
-        else:
-            tokens = _kernel_tokens(block)
-        parts = [""] * (2 * len(tokens))
-        parts[0::2] = texts[start : start + len(tokens)]
-        parts[1::2] = tokens
-        chunks.append("".join(parts))
-    chunks.append(texts[n])
-    return "".join(chunks)
+    rows = np.empty((min(len(flat), KERNEL_BLOCK), width + 3), "<u8")
+    rows[:, :width] = separators[ndim]
+    for start in range(0, len(flat), KERNEL_BLOCK):
+        x = flat[start : start + KERNEL_BLOCK]
+        block = rows[: len(x)]
+        # Entry i opens a container at depth d when i is a multiple of the
+        # size of one; shallower boundaries overwrite deeper ones.  Every
+        # boundary is one of the innermost containers.
+        stride = 1
+        for depth in range(ndim - 1, 0, -1):
+            stride *= shape[depth]
+            block[-start % stride :: stride, :width] = separators[depth]
+        if start == 0:
+            block[0, :width] = separators[0]
+        token, inside = _token_rows(x)
+        for k in range(3):
+            block[:, width + k] = token[:, k]
+        outside = np.flatnonzero(~inside)
+        if len(outside):
+            # Zeros and entries outside the window take _format_float, in
+            # order, so the first non-finite entry raises.  No token is
+            # longer than a row's three words ("-1.7976931348623157e+308").
+            tokens = "".join([_format_float(v).ljust(24, "\0") for v in x[outside].tolist()])
+            block[outside, width:] = np.frombuffer(tokens.encode(), "<u8").reshape(-1, 3)
+        data = block.view(np.uint8)
+        text = data[data != 0].tobytes()
+        block[-start % shape[-1] :: shape[-1], :width] = separators[ndim]
+        yield text
+    yield closing.encode()
 
 
 def _text(value: Any, pad: str) -> str:
@@ -296,7 +325,7 @@ def _text(value: Any, pad: str) -> str:
     if isinstance(value, np.ndarray):
         if value.dtype != np.float64 or value.ndim == 0 or value.size == 0:
             return _text(value.tolist(), pad)
-        return _array_text(value, pad)
+        return b"".join(_array_chunks(value, pad)).decode("ascii")
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         brackets = "[]"
@@ -344,13 +373,29 @@ def instance_document(instance: DmdpInstance) -> dict:
     return doc
 
 
-def dumps_instance(instance: DmdpInstance) -> str:
-    return dumps_json(instance_document(instance)) + "\n"
+# The canonical text is the header, _TRANSITION, its array, _REWARD, its
+# array and "\n}".
+_TRANSITION = b',\n  "transition": '
+_REWARD = b',\n  "reward": '
+
+
+def _header_bytes(instance: DmdpInstance) -> bytes:
+    """dumps_json of the instance document without its arrays, less "\n}"."""
+    header = instance_document(instance)
+    del header["transition"], header["reward"]
+    return dumps_json(header)[:-2].encode()
 
 
 def _document_bytes(instance: DmdpInstance) -> bytes:
-    """The UTF-8 bytes of the canonical text, without its final newline."""
-    return dumps_json(instance_document(instance)).encode("utf-8")
+    """The bytes of the canonical text, without its final newline.  The
+    text is ASCII, as json.dumps escapes everything else."""
+    parts = [_header_bytes(instance), _TRANSITION, *_array_chunks(instance.transition, "  ")]
+    parts += [_REWARD, *_array_chunks(instance.reward, "  "), b"\n}"]
+    return b"".join(parts)
+
+
+def dumps_instance(instance: DmdpInstance) -> str:
+    return _document_bytes(instance).decode("ascii") + "\n"
 
 
 def _file_digest(document: bytes) -> str:
@@ -502,34 +547,21 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
 # digest is the sha256 of its bytes.  The reader accepts the bytes only
 # where they are exactly dumps_instance of the instance it returns: the
 # header is the one dumps_json writes for it, every text between two array
-# entries is the writer's skeleton text, and every entry's token is the
+# entries is the writer's separator text, and every entry's token is the
 # one _format_float prints for the double the reader returns.  17
 # significant digits round-trip, so json.loads would have read that same
 # double.  Any other file goes to parse_instance.
 
-_TRANSITION = b',\n  "transition": '
-_REWARD = b',\n  "reward": '
 _END = b"\n}\n"
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
-# Tokens read at once.  Reading has no token lists to keep small, and
-# blocks of 16,384 read the S=200 file in 48 ms against 56 ms for blocks
-# of 4,096 and 49 ms for blocks of 32,768 (min of 12 interleaved runs,
-# x86_64, 2 vCPUs, numpy 2.4).
+# Tokens read at once.  Blocks of 16,384 read the S=200 file in 48 ms
+# against 56 ms for blocks of 4,096 and 49 ms for blocks of 32,768 (min of
+# 12 interleaved runs, x86_64, 2 vCPUs, numpy 2.4).
 READ_BLOCK = 1 << 14
 
-# The token scan reads each _ROW-byte row as three little-endian uint64
-# words (SWAR), with byte-wise sums that never carry into the next byte.
-
-
-def _each_byte(b: int) -> np.uint64:
-    return np.uint64(b * 0x0101010101010101)
-
-
-_DIGIT_BASE = _each_byte(ord("0"))
+_ROW = 24  # bytes a token is scanned in: "-0.000", 17 digits and one more
 _POINT_BYTE = _each_byte(ord(".") ^ ord("0"))
-_LOW7 = _each_byte(0x7F)
 _ABOVE_9 = _each_byte(0x80 - 10)
-_HIGH = _each_byte(0x80)
 # _KEEP[k]: 0xFF in the last k bytes of a row, the ones a k-byte token
 # right-aligned in it covers.
 _KEEP = np.frombuffer(
@@ -719,9 +751,7 @@ def _canonical_instance(data: bytes) -> DmdpInstance | None:
         instance = _document_instance(doc, lambda key, shape: doc[key])
     except InstanceFormatError:
         return None
-    header = instance_document(instance)
-    del header["transition"], header["reward"]
-    if dumps_json(header).encode() != data[:split] + b"\n}":
+    if _header_bytes(instance) != data[:split]:
         return None
     return instance
 

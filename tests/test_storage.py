@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -267,6 +268,15 @@ def test_instance_text_is_pinned(shape, expected):
     assert _sha256(dumps_instance(generate(*shape))) == expected
 
 
+@pytest.mark.parametrize("shape", [(5, 3, 2, 4, 0.5), (6, 10, 3, 4, 0.5)], ids=str)
+def test_instance_text_is_the_text_of_its_document_as_lists(shape):
+    metadata = {"name": "naïve ∑", "tags": [1.5, None]}
+    instance = dataclasses.replace(generate(*shape), metadata=metadata)
+    doc = storage.instance_document(instance)
+    doc["transition"], doc["reward"] = instance.transition.tolist(), instance.reward.tolist()
+    assert dumps_instance(instance) == dumps_json(doc) + "\n"
+
+
 def _every_accepted_type():
     return {
         "nested": {"list": [1, [2, [3.5, []]], {}], "tuple": (True, None, ("x", ()))},
@@ -428,12 +438,24 @@ def _kernel_sweep_values():
     return values[np.isfinite(values)]
 
 
+def _inside_the_window(values):
+    a = np.abs(values)
+    return values[(a >= 1e-4) & (a < 1e16)]
+
+
+def _written_tokens(values):
+    """The tokens the array writer spells for a 1-D float64 array."""
+    text = dumps_json(values)
+    assert text.startswith("[\n  ") and text.endswith("\n]")
+    return text[4:-2].split(",\n  ")
+
+
 def test_kernel_tokens_are_those_of_format_float():
     values = _kernel_sweep_values()
     expected = [storage._format_float(v) for v in values.tolist()]
     inside = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)
     assert len(values) > 10**6 and inside.sum() > len(values) // 2
-    assert storage._kernel_tokens(values) == expected
+    assert _written_tokens(values) == expected
     assert expected[-7:] == [
         "1234567890123456.2", "1234567890123456.8", "9.9999999999999995e-07",
         "0.0001", "10000000000000000.0", "0.0", "-0.0",
@@ -448,7 +470,35 @@ def test_kernel_corrects_a_log10_off_by_one(error, monkeypatch):
     expected = [storage._format_float(v) for v in values.tolist()]
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
-    assert storage._kernel_tokens(values) == expected
+    assert _written_tokens(values) == expected
+
+
+@pytest.mark.parametrize("shape", [(-1, 64), (-1, 7, 11), (-1, 4, 1)], ids=str)
+def test_kernel_sweep_is_written_as_its_lists(shape):
+    # Every separator depth and block edge meets every kind of token; the
+    # flat sweep is test_kernel_tokens_are_those_of_format_float's.
+    values = _kernel_sweep_values()
+    size = math.prod(shape[1:])
+    values = values[: len(values) // size * size].reshape(shape)
+    assert dumps_json(values) == dumps_json(values.tolist())
+
+
+def test_deeply_nested_arrays_are_written_as_their_lists():
+    values = (np.arange(512) / 7.0).reshape((1,) * 15 + (2,) + (1,) * 14 + (256,))
+    assert dumps_json(values) == dumps_json(values.tolist())
+
+
+def test_writer_spells_every_token_inside_the_window_with_array_operations(monkeypatch):
+    # Only entries outside the window take _format_float.
+    values = _inside_the_window(_kernel_sweep_values())
+    values = values[: len(values) // 77 * 77].reshape(-1, 7, 11)
+    expected = dumps_json(values.tolist())
+
+    def slow_path(x):
+        raise AssertionError(f"{x!r} took the slow path")
+
+    monkeypatch.setattr(storage, "_format_float", slow_path)
+    assert dumps_json(values) == expected
 
 
 def test_float_array_text_is_written_in_blocks():
@@ -461,6 +511,17 @@ def test_float_array_text_is_written_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 3 * length
+
+
+def test_instance_file_bytes_are_written_in_blocks():
+    instance = generate(0, 200, 4, 50, 0.9)
+    tracemalloc.start()
+    try:
+        length = len(storage._document_bytes(instance))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * length
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +588,7 @@ def test_non_finite_metadata_is_rejected_with_its_path(literal, shown):
 
 def _read_array_text(values, pad="  "):
     """storage._read_array on the writer's text of values, 30 bytes in."""
-    data = ("#" * 30 + storage._array_text(values, pad) + "\n").encode()
+    data = b"#" * 30 + b"".join(storage._array_chunks(values, pad)) + b"\n"
     newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
     result = storage._read_array(data, newlines, 30, values.shape, pad)
     assert result is not None and result[1] == len(data) - 1
@@ -545,11 +606,9 @@ def test_reader_reads_the_kernel_sweep_bit_for_bit():
 
 def test_reader_decodes_every_token_inside_the_window_with_array_operations(monkeypatch):
     # Only tokens the word-wise scan rejects take the one-token slow path.
-    values = _kernel_sweep_values()
-    a = np.abs(values)
-    values = values[(a >= 1e-4) & (a < 1e16)]
+    values = _inside_the_window(_kernel_sweep_values())
     values = values[: len(values) // 77 * 77].reshape(-1, 7, 11)
-    data = ("#" * 30 + storage._array_text(values, "  ") + "\n").encode()
+    data = b"#" * 30 + b"".join(storage._array_chunks(values, "  ")) + b"\n"
     newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
 
     def slow_path(x):
