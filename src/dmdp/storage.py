@@ -8,26 +8,28 @@ makes content digests and golden-report comparisons meaningful.  A
 float64 array is written with the bytes its nested lists would give.
 Arrays of at least KERNEL_MIN_SIZE entries are written KERNEL_BLOCK
 entries at a time, as rows of little-endian uint64 words, one per entry:
-the text before it, from a per-depth table, then its token, spelled a
-word at a time (SWAR) from its exact 17 digits for 1e-4 <= |x| < 1e16
-(Dekker's error-free product with an exact power of ten gives them); a
-block's text is its rows without their NULs.  Zeros, entries outside that
-window and smaller arrays take one _format_float call each.  Instance
-files are assembled as bytes, the header from dumps_json.  save() returns
-the sha256 of the bytes it wrote, which is digest() of the instance.
+the text before it, from a table by the depth of the container it opens
+(_opening_depths), then its token, spelled a word at a time (SWAR) from
+its exact 17 digits for 1e-4 <= |x| < 1e16 (Dekker's error-free product
+with an exact power of ten gives them); a block's text is its rows
+without their NULs.  Zeros, entries outside that window and smaller
+arrays take one _format_float call each.  Instance files are assembled as
+bytes, the header from dumps_json.  save() returns the sha256 of the
+bytes it wrote, which is digest() of the instance.
 
 read() returns an instance and its digest.  A file whose bytes are
 exactly the canonical text of the instance it holds, as every file save()
 writes is, has the sha256 of its bytes as digest, and its arrays are read
-by the inverse of the kernel, READ_BLOCK tokens at a time: each token's
-row of bytes is scanned as three little-endian uint64 words (SWAR) for its
+by the inverse of the writer, with the same depth table and block size:
+the text before each entry must be the table's, and each token's row of
+bytes is scanned as three little-endian uint64 words (SWAR) for its
 digits and its point, decoded as +-N / 10**f with array operations, and
 kept only where the kernel's digits of the double it gives spell that
 token byte for byte (after at most one step to a neighbouring double).
-The header and every bracket, comma and indentation byte must be the
-writer's too.  Any other file, and files with fewer than KERNEL_MIN_SIZE
-array entries, are parsed whole by json.loads and serialized again for
-the digest, with the same values, digest and errors either way.
+The header must be the writer's too.  Any other file, and files with
+fewer than KERNEL_MIN_SIZE array entries, are parsed whole by json.loads
+and serialized again for the digest, with the same values, digest and
+errors either way.
 
 The generator uses a self-contained xorshift64* PRNG seeded per (kind,
 state, action) stream through a splitmix64-style mixer, so instances are
@@ -104,16 +106,22 @@ def _wrap(items: list[str], pad: str, brackets: str) -> str:
 # exact double for every E in the window, so Dekker's two-product gives
 # the unrounded |x| * 10**(16 - E) as hi + lo.
 _WINDOW = (1e-4, 1e16)
-# Arrays with fewer entries than this are formatted by _format_float alone,
-# and files whose arrays hold fewer in all are parsed by json.loads
-# (_canonical_instance): the writer's fixed numpy cost ties with one dtoa
-# call per entry between 128 and 256 entries and wins by 1.4x at 256
-# (medians, x86_64, 2 vCPUs, numpy 2.4).
+# Arrays with fewer entries than this are formatted by _format_float alone:
+# the writer's fixed numpy cost ties with one dtoa call per entry between
+# 128 and 256 entries and wins by 1.4x at 256 (medians, x86_64, 2 vCPUs,
+# numpy 2.4).  Files whose arrays hold fewer in all are parsed by json.loads
+# (_canonical_instance), although the reader's crossover lies higher: it
+# takes 1.9 ms against 1.3 ms for parse_instance and digest at 480 entries,
+# 1.9 ms against 1.6 ms at 768, ties near 1,300 and takes 2.7 ms against
+# 3.4 ms at 2,304 (medians of 41 calls, same machine).
 KERNEL_MIN_SIZE = 256
-# Entries written at once, so that the writer's temporaries stay the same
-# size whatever the array's.  Blocks of 8,192 write an S=64 file in 6.4 ms
-# against 6.6 ms for 4,096 and 9.7 ms for 1,024 (medians, same machine).
-KERNEL_BLOCK = 1 << 13
+# Entries written or read at once, so that the temporaries stay the same
+# size whatever the array's.  Blocks of 16,384 read the S=200 file in 48 ms
+# against 56 ms for 4,096 and 49 ms for 32,768 (min of 12 interleaved runs,
+# same machine).  Among io-large's ops, blocks of 8,192 read S=64 files 3%
+# slower and write them 1% faster; only in a loop of writes alone, where a
+# block's rows stay in the 2 MB L2 cache, is the writer 20% faster at 8,192.
+KERNEL_BLOCK = 1 << 14
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _VELTKAMP = 134217729.0  # 2**27 + 1
@@ -138,10 +146,14 @@ def _scaled(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _kernel_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E and the int64 digits D of each double in a, all of them with
-    1e-4 <= a < 1e16: a prints under "%.17g" as the 17 digits of D with
-    the point after digit E + 1."""
+def _kernel_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each double in x lies inside the window, 1e-4 <= |x| < 1e16,
+    and E and the int64 digits D of |x| there (of 1.0 elsewhere): |x|
+    prints under "%.17g" as the 17 digits of D with the point after digit
+    E + 1."""
+    a = np.abs(x)
+    inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
+    a[~inside] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
     hi, lo = _scaled(a, 16 - e)
     # log10 may round across a power of ten, so E moves by one where the
@@ -157,7 +169,7 @@ def _kernel_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # even.  D never rounds up to 10**17: 10**0 .. 10**15 are doubles, and
     # the doubles nearest 10**-3 .. 10**-1 lie above them or more than
     # half a unit of the 17th digit below.
-    return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    return inside, e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
 # Text is written and read as little-endian uint64 words, eight bytes at a
@@ -200,10 +212,7 @@ _AFTER, _BEFORE, _POINT, _FRACTION = (m.copy() for m in np.split(_MASKS, [3, 6, 
 def _token_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The token rows of the entries of the 1-D float64 array x that lie
     inside the window, shape (len(x), 3), and where x lies inside it."""
-    a = np.abs(x)
-    inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
-    a[~inside] = 1.0
-    e, d = _kernel_digits(a)
+    inside, e, d = _kernel_digits(x)
     row = e - _EXPONENTS[0]
     lead, d = np.divmod(d.view(np.uint64), 10**16)
     # Digits 2..9 and 10..17, one byte each, most significant first: each
@@ -263,6 +272,17 @@ def _separators(ndim: int, pad: str) -> tuple[list[str], str]:
     return [pieces[0][0]] + [p[1] for p in pieces], pieces[0][-1]
 
 
+def _opening_depths(shape: tuple[int, ...]) -> np.ndarray:
+    """For each entry of an array of this shape, in C order, the index into
+    _separators' texts of the text before it: ndim less the number of its
+    trailing zero indices, so 0 for the first entry and d for the first
+    entry of a container at depth d and of none shallower."""
+    depths = np.full(shape, len(shape), np.uint8)
+    for zeros in range(1, len(shape) + 1):
+        depths[(...,) + (0,) * zeros] -= 1
+    return depths.ravel()
+
+
 def _array_chunks(value: np.ndarray, pad: str):
     """The bytes of the text of a float64 array with at least one dimension
     and entry, whose container lines are indented by pad: those of
@@ -273,40 +293,28 @@ def _array_chunks(value: np.ndarray, pad: str):
         tokens = tuple([_format_float(v) for v in value.ravel().tolist()])
         yield (_template(value.shape, pad) % tokens).encode()
         return
-    shape, ndim = value.shape, value.ndim
-    between, closing = _separators(ndim, pad)
-    width = -(-max(map(len, between)) // 8)
-    separators = "".join(text.rjust(8 * width, "\0") for text in between)
-    separators = np.frombuffer(separators.encode(), "<u8").reshape(-1, width)
+    between, closing = _separators(value.ndim, pad)
+    width = 8 * -(-max(map(len, between)) // 8)
+    separators = "".join(text.rjust(width, "\0") for text in between)
+    separators = np.frombuffer(separators.encode(), f"V{width}")
+    depths = _opening_depths(value.shape)
     flat = value.ravel()
-    rows = np.empty((min(len(flat), KERNEL_BLOCK), width + 3), "<u8")
-    rows[:, :width] = separators[ndim]
+    rows = np.empty(min(len(flat), KERNEL_BLOCK), [("text", f"V{width}"), ("token", "<u8", 3)])
     for start in range(0, len(flat), KERNEL_BLOCK):
         x = flat[start : start + KERNEL_BLOCK]
         block = rows[: len(x)]
-        # Entry i opens a container at depth d when i is a multiple of the
-        # size of one; shallower boundaries overwrite deeper ones.  Every
-        # boundary is one of the innermost containers.
-        stride = 1
-        for depth in range(ndim - 1, 0, -1):
-            stride *= shape[depth]
-            block[-start % stride :: stride, :width] = separators[depth]
-        if start == 0:
-            block[0, :width] = separators[0]
+        block["text"] = np.take(separators, depths[start : start + KERNEL_BLOCK])
         token, inside = _token_rows(x)
-        for k in range(3):
-            block[:, width + k] = token[:, k]
+        block["token"] = token
         outside = np.flatnonzero(~inside)
         if len(outside):
             # Zeros and entries outside the window take _format_float, in
             # order, so the first non-finite entry raises.  No token is
             # longer than a row's three words ("-1.7976931348623157e+308").
             tokens = "".join([_format_float(v).ljust(24, "\0") for v in x[outside].tolist()])
-            block[outside, width:] = np.frombuffer(tokens.encode(), "<u8").reshape(-1, 3)
+            block["token"][outside] = np.frombuffer(tokens.encode(), "<u8").reshape(-1, 3)
         data = block.view(np.uint8)
-        text = data[data != 0].tobytes()
-        block[-start % shape[-1] :: shape[-1], :width] = separators[ndim]
-        yield text
+        yield data[data != 0].tobytes()
     yield closing.encode()
 
 
@@ -554,10 +562,6 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
 
 _END = b"\n}\n"
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
-# Tokens read at once.  Blocks of 16,384 read the S=200 file in 48 ms
-# against 56 ms for blocks of 4,096 and 49 ms for blocks of 32,768 (min of
-# 12 interleaved runs, x86_64, 2 vCPUs, numpy 2.4).
-READ_BLOCK = 1 << 14
 
 _ROW = 24  # bytes a token is scanned in: "-0.000", 17 digits and one more
 _POINT_BYTE = _each_byte(ord(".") ^ ord("0"))
@@ -584,10 +588,7 @@ def _agrees(x, fraction, digits, length) -> np.ndarray:
     whose digits, read as one integer with a 0 in place of the point, make
     `digits`.  The token itself has only digits, one point and a leading
     "-" where x < 0."""
-    a = np.abs(x)
-    inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
-    a[~inside] = 1.0
-    e, d = _kernel_digits(a)
+    inside, e, d = _kernel_digits(x)
     # The text drops t = 16 - E - fraction trailing zeros of D: all of
     # them, or all but the one after the point of an integral value.
     t = 16 - e - fraction
@@ -672,33 +673,31 @@ def _read_array(data: bytes, newlines: np.ndarray, start: int, shape: tuple[int,
     newlines holds the offsets of every newline in data, and start >= _ROW."""
     ndim = len(shape)
     between, closing = _separators(ndim, pad)
-    # Every entry has a line of its own and every container two more, so an
-    # entry's line number is a sum over its index.  Line 0 holds the "[".
-    line = np.zeros(shape, np.intp)
-    lines = 1
-    for depth in range(ndim - 1, -1, -1):
-        line += (np.arange(shape[depth]) * lines + 1).reshape((-1,) + (1,) * (ndim - 1 - depth))
-        lines = shape[depth] * lines + 2
-    line += np.searchsorted(newlines, start)
-    if line.flat[-1] >= len(newlines):
+    depths = _opening_depths(shape)
+    # Every text before an entry ends in a newline and indentation, so the
+    # newline that ends an entry's line is the next one after those before
+    # the array and those in the texts up to the entry's own.
+    newlines_before = np.array([text.count("\n") for text in between])
+    newlines_before[0] += np.searchsorted(newlines, start)
+    line = np.cumsum(np.take(newlines_before, depths))
+    if line[-1] >= len(newlines):
         return None
     ends = newlines[line]
-    ends[..., :-1] -= 1  # the comma
+    # A comma follows an entry exactly when the next entry's depth is ndim.
+    follows = depths[1:]
+    ends[:-1] -= follows == ndim
     starts = newlines[line - 1] + len(between[ndim]) - 1
     if (ends <= starts).any():
         return None
     # The texts between entries, one kind of text at a time.
     buf = np.frombuffer(data, np.uint8)
     for depth in range(1, ndim + 1):
-        before = (slice(None),) * (depth - 1) + (slice(None, -1),) + (-1,) * (ndim - depth)
-        after = (slice(None),) * (depth - 1) + (slice(1, None),) + (0,) * (ndim - depth)
         text = np.frombuffer(between[depth].encode(), np.uint8)
-        gaps = ends[before].ravel()
-        if (starts[after].ravel() - gaps != len(text)).any():
+        gaps = ends[:-1][follows == depth]
+        if (starts[1:][follows == depth] - gaps != len(text)).any():
             return None
         if (sliding_window_view(buf, len(text))[gaps] != text).any():
             return None
-    starts, ends = starts.ravel(), ends.ravel()
     end = int(ends[-1]) + len(closing)
     if data[start : starts[0]] != between[0].encode() or data[ends[-1] : end] != closing.encode():
         return None
@@ -706,8 +705,8 @@ def _read_array(data: bytes, newlines: np.ndarray, start: int, shape: tuple[int,
     # Every _ROW bytes of data as one void item, so that a token's row is
     # gathered as one copy.
     rows = np.ndarray((len(data) - _ROW + 1,), np.dtype((np.void, _ROW)), data, strides=(1,))
-    for block in range(0, len(values), READ_BLOCK):
-        part = slice(block, block + READ_BLOCK)
+    for block in range(0, len(values), KERNEL_BLOCK):
+        part = slice(block, block + KERNEL_BLOCK)
         tokens = _read_tokens(data, rows[ends[part] - _ROW], starts[part], ends[part])
         if tokens is None:
             return None

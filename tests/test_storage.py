@@ -379,6 +379,23 @@ def test_float_arrays_are_written_as_their_lists_by_the_kernel(name, monkeypatch
     test_float_arrays_are_written_as_their_lists(name)
 
 
+@pytest.mark.parametrize("shape", [(1,), (5,), (3, 1), (1, 4), (2, 3, 4), (4, 1, 1, 2),
+                                   (1,) * 15 + (2,) + (1,) * 14 + (3,)])
+@pytest.mark.parametrize("pad", ["", "    "])
+def test_opening_depths_give_the_nesting_of_the_template(shape, pad, monkeypatch):
+    # Where an axis has size 1, one entry is the first of several containers.
+    between, closing = storage._separators(len(shape), pad)
+    markers = tuple(f"<{i}>" for i in range(math.prod(shape)))
+    depths = storage._opening_depths(shape).tolist()
+    text = "".join(between[d] + m for d, m in zip(depths, markers)) + closing
+    assert text == storage._template(shape, pad) % markers
+    # The writer and the reader take their layout from the same depths.
+    monkeypatch.setattr(storage, "KERNEL_MIN_SIZE", 0)
+    values = np.arange(1.0, len(markers) + 1).reshape(shape) / 7
+    assert storage._text(values, pad) == storage._text(values.tolist(), pad)
+    assert np.array_equal(_read_array_text(values, pad), values)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_entry_of_an_array_is_rejected_by_the_kernel(bad, monkeypatch):
     monkeypatch.setattr(storage, "KERNEL_MIN_SIZE", 0)
@@ -801,6 +818,9 @@ def _token_edits():
         ("comma on the next line",
          lambda t: t.replace("\n      ],\n      [", "\n      ]\n,      [", 1)),
         ("bracket swapped", lambda t: t.replace("\n      ],\n      [", "\n      [,\n      [", 1)),
+        ("comma after a container's last entry",
+         lambda t: t.replace("\n      ],\n", ",\n      ],\n", 1)),
+        ("comma dropped between siblings", lambda t: t.replace(",\n        ", "\n        ", 1)),
         ("no final newline", lambda t: t[:-1]),
         ("two final newlines", lambda t: t + "\n"),
         ("reordered keys", swap("gamma", "r_max")),
