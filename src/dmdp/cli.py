@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Every subcommand prints a single JSON run report to stdout: command,
-library version, instance digest, an echo of the effective configuration,
-the result payload, and wall-clock timing.  Exit codes: 0 success, 2 when
-a requested solution does not exist, 1 on errors, 64 on usage errors.
+library version, instance digest, config, the result payload, and
+wall-clock timing.  The config holds every option of the subcommand, in
+its parser's order, with the value the run used: `node_budget` after
+GDS_NODE_BUDGET and the default, `max_len` after the horizon default.
+Exit codes: 0 success, 2 when a requested solution does not exist, 1 on
+errors, 64 on usage errors.
 """
 
 from __future__ import annotations
@@ -50,10 +53,9 @@ def _parse_states(text: str) -> list[int]:
     return states
 
 
-def _parse_policy(text: str) -> TimeVaryingPolicy:
+def _parse_policy(text: str) -> tuple[tuple[int, ...], ...]:
     try:
-        rows = [[int(a) for a in epoch.split(",")] for epoch in text.split(";") if epoch]
-        return TimeVaryingPolicy.from_actions(rows)
+        return tuple(tuple(int(a) for a in epoch.split(",")) for epoch in text.split(";") if epoch)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected ';'-separated epochs of comma-separated actions, got {text!r}"
@@ -95,8 +97,9 @@ def _answer(best) -> dict:
     }
 
 
-# Each _cmd_* returns (instance digest, config, result, exit code); main
-# times the run and prints the report.
+# Each _cmd_* writes back into args the option values it resolves and
+# returns (instance digest, result, exit code); main echoes args as the
+# report's config, times the run and prints the report.
 
 
 def _cmd_validate(args):
@@ -114,34 +117,28 @@ def _cmd_validate(args):
             for rule, loc, value in report.violations
         ],
     }
-    config = {"file": args.file, "sign_mode": args.sign_mode}
-    return instance_digest, config, result, 0 if report.ok else 1
+    return instance_digest, result, 0 if report.ok else 1
 
 
 def _cmd_value_star(args):
     instance, instance_digest = read(args.file)
     values = optimal_values(instance)
-    return instance_digest, {"file": args.file}, {"values": values.values}, 0
+    return instance_digest, {"values": values.values}, 0
 
 
 def _cmd_policy_iter(args):
     instance, instance_digest = read(args.file)
-    init = args.init if args.init is not None else EMPTY_POLICY
-    result = policy_iteration(instance, init)
+    result = policy_iteration(instance, TimeVaryingPolicy(args.init or ()))
     payload = {
         "policy": result.policy.rules,
         "values": result.values.values,
         "iterations": result.iterations,
     }
-    config = {
-        "file": args.file,
-        "init": init.rules if args.init is not None else None,
-    }
-    return instance_digest, config, payload, 0
+    return instance_digest, payload, 0
 
 
 def _cmd_solve(args):
-    budget = _node_budget(args)
+    args.node_budget = _node_budget(args)
     instance, instance_digest = read(args.file)
     config_obj = GdsConfig(
         start=args.start,
@@ -150,7 +147,7 @@ def _cmd_solve(args):
         strict_subset=args.strict,
         trace=args.trace is not None,
         verify=args.verify,
-        node_budget=budget,
+        node_budget=args.node_budget,
     )
     result = gds_search(instance, config_obj)
     if args.trace is not None:
@@ -161,48 +158,24 @@ def _cmd_solve(args):
         "nodes_popped": result.nodes_popped,
         "nodes_pruned": result.nodes_pruned,
     }
-    config = {
-        "file": args.file,
-        "start": args.start,
-        "target": list(args.target),
-        "strict": args.strict,
-        "verify": args.verify,
-        "node_budget": budget,
-        "trace": args.trace,
-    }
-    return instance_digest, config, payload, 0 if result.found else 2
+    return instance_digest, payload, 0 if result.found else 2
 
 
 def _cmd_brute_check(args):
     instance, instance_digest = read(args.file)
     target = GoalSet.from_states(args.target, instance.num_states)
-    max_len = args.max_len if args.max_len is not None else instance.horizon
+    if args.max_len is None:
+        args.max_len = instance.horizon
     solver = brute_force_reach if args.mode == "reach" else brute_force_cover
-    best = solver(instance, args.start, target, max_len, budget=args.budget)
-    config = {
-        "file": args.file,
-        "start": args.start,
-        "target": list(args.target),
-        "mode": args.mode,
-        "max_len": max_len,
-        "budget": args.budget,
-    }
-    return instance_digest, config, _answer(best), 0 if best is not None else 2
+    best = solver(instance, args.start, target, args.max_len, budget=args.budget)
+    return instance_digest, _answer(best), 0 if best is not None else 2
 
 
 def _cmd_gen(args):
     instance = generate(args.seed, args.states, args.actions, args.horizon, args.gamma)
     validate(instance).require()
     instance_digest = save(instance, args.out)
-    config = {
-        "seed": args.seed,
-        "states": args.states,
-        "actions": args.actions,
-        "horizon": args.horizon,
-        "gamma": args.gamma,
-        "out": args.out,
-    }
-    return instance_digest, config, {"path": args.out, "digest": instance_digest}, 0
+    return instance_digest, {"path": args.out, "digest": instance_digest}, 0
 
 
 def _cmd_demo_static_gap(args):
@@ -223,7 +196,7 @@ def _cmd_demo_static_gap(args):
         "dynamic_best": float(star.values[0, 0]),
         "dynamic_policy": result.policy.rules,
     }
-    return digest(instance), {"gamma": args.gamma}, payload, 0
+    return digest(instance), payload, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use proper-subset goal inclusions")
         p.add_argument("--verify", action="store_true",
                        help="re-derive queued values by exact evaluation")
+        p.add_argument("--node-budget", type=_parse_positive, default=None)
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="write the search event log to PATH")
-        p.add_argument("--node-budget", type=_parse_positive, default=None)
         p.set_defaults(func=_cmd_solve, usage_error=p.error)
 
     p = sub.add_parser("brute-check", help="exhaustive baseline for solve results")
@@ -302,7 +275,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        instance_digest, config, result, code = args.func(args)
+        instance_digest, result, code = args.func(args)
+        # Every attribute but those that pick and run the subcommand is an option.
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "func", "usage_error")}
         report = {
             "command": args.command,
             "library_version": __version__,

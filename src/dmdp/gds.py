@@ -11,15 +11,21 @@ its final state distribution)?  Two modes:
 
 Nodes are policies; a node's children append one decision rule.  Because
 rewards are nonpositive, extending a policy never raises its value, so a
-max-value priority queue pops candidates in non-increasing value order
-and the first popped node satisfying the goal constraint is optimal.
-Value records per (start, goal set) let provably dominated branches be
-pruned: a branch whose value trails a recorded goal-subset (reach) /
-goal-superset (cover) alternative by more than epsilon(t) — the most any
-continuation could still matter — cannot beat that alternative's
-continuations.  Before the first pop, a target that the kernel's structure
-alone proves unreachable (composition.target_unreachable) is answered
-without searching.
+max-value priority queue pops candidates in non-increasing value order,
+and without pruning the first popped node satisfying the goal constraint
+would be optimal.  But the search prunes.  The first node expanded with
+a given goal set records the best of its children's values, fixed from
+then on.  A popped node is dropped unexpanded when a recorded goal set
+lies inside its own (reach) or around it (cover) and its value is at
+most that record less epsilon(depth), a slack meant to bound what any
+continuation can still add.  Records are keyed by goal set alone, across
+depths, so a record made at one depth does not bound a node at another:
+pruning can drop the prefix of the optimal policy and return a worse
+policy than brute force (ROADMAP item 3; the strict xfail
+test_pruning_keeps_the_best_cover_on_sparse_3x2x4 reproduces it).
+Before the first pop, a target that the kernel's structure alone proves
+unreachable (composition.target_unreachable) is answered without
+searching.
 
 Rules that differ only on states where a node's distribution has exactly
 zero mass give bit-identical children, so each such class of rules is

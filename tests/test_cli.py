@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -18,7 +19,6 @@ from dmdp import (
     brute_force_reach,
     digest,
     dumps_instance,
-    dumps_json,
     evaluate_policy,
     generate,
     load,
@@ -278,6 +278,16 @@ def test_node_budget_env_var(instance_file):
     proc = run_cli("solve-reach", instance_file, "--start", "0",
                    "--target", "0,1,2", "--node-budget", "100000", env=env)
     assert proc.returncode == 0
+    assert report_of(proc)["config"]["node_budget"] == 100000
+    # the report echoes the budget the run used, from the environment or
+    # the default
+    for environ, echoed in ((dict(os.environ, GDS_NODE_BUDGET="100000"), 100000),
+                            ({k: v for k, v in os.environ.items() if k != "GDS_NODE_BUDGET"},
+                             1000000)):
+        proc = run_cli("solve-reach", instance_file, "--start", "0", "--target", "0,1,2",
+                       env=environ)
+        assert proc.returncode == 0
+        assert report_of(proc)["config"]["node_budget"] == echoed
     # a budget that is not a positive integer is a usage error
     for value in ("abc", "0"):
         proc = run_cli("solve-reach", instance_file, "--start", "0", "--target", "0,1,2",
@@ -303,24 +313,64 @@ def test_non_finite_numbers_exit_1_with_their_location(tmp_path):
         assert "non_finite at (1, 2, 0): nan" in proc.stderr
 
 
-def test_report_config_replays_to_the_same_result(instance_file):
-    first = run_cli("solve-reach", instance_file, "--start", "0", "--target", "0,1,2")
-    cfg = report_of(first)["config"]
-    args = ["solve-reach", cfg["file"], "--start", str(cfg["start"]),
-            "--target", ",".join(str(s) for s in cfg["target"]),
-            "--node-budget", str(cfg["node_budget"])]
-    if cfg["strict"]:
-        args.append("--strict")
-    second = run_cli(*args)
+REPLAYED_RUNS = [
+    ["validate", "gap.json", "--sign-mode", "nonpositive"],
+    ["value-star", "inst.json"],
+    ["policy-iter", "inst.json", "--init", "0,0,0;1,1,1;0,1,0"],
+    ["solve-reach", "sparse.json", "--start", "0", "--target", "0,2", "--strict",
+     "--verify", "--trace", "trace.json"],
+    ["solve-cover", "inst.json", "--start", "1", "--target", "0,1,2"],
+    ["brute-check", "sparse.json", "--start", "0", "--target", "2"],
+    ["brute-check", "inst.json", "--start", "0", "--target", "2", "--mode", "cover",
+     "--max-len", "2", "--budget", "100"],
+    ["gen", "--seed", "5", "--states", "4", "--actions", "3", "--horizon", "3",
+     "--gamma", "0.75", "-o", "made.json"],
+    ["demo-static-gap"],
+]
 
-    def stripped(proc):
-        rep = report_of(proc)
-        del rep["timing"]
-        rep["config"].pop("node_budget", None)
-        return dumps_json(rep)
 
-    assert stripped(first) == stripped(second)
-    assert report_of(first)["result"] == report_of(second)["result"]
+def _argv_of(command, config):
+    """The arguments a report's config stands for: `file` is positional,
+    every other key is its option; true is a bare flag, false and null are
+    left out, a list of ints is joined by ',' and a list of rules by ';'."""
+    argv = [command]
+    for key, value in config.items():
+        option = "--" + key.replace("_", "-")
+        if key == "file":
+            argv.append(value)
+        elif value is True:
+            argv.append(option)
+        elif value is not False and value is not None:
+            if isinstance(value, list) and value and isinstance(value[0], list):
+                value = ";".join(",".join(map(str, rule)) for rule in value)
+            elif isinstance(value, list):
+                value = ",".join(map(str, value))
+            argv += [option, str(value)]
+    return argv
+
+
+def _option_dests(parser, command):
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a.dest for a in subparsers.choices[command]._actions if a.dest != "help"]
+
+
+def test_report_config_replays_to_the_same_result(tmp_path, monkeypatch, capsys):
+    from dmdp import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GDS_NODE_BUDGET", raising=False)
+    save(generate(7, 3, 2, 3, 0.5), "inst.json")
+    save(make_static_gap_instance(), "gap.json")
+    save(sparse_instance(1), "sparse.json")
+    for argv in REPLAYED_RUNS:
+        code = cli.main(argv)
+        first = capsys.readouterr().out
+        config = json.loads(first)["config"]
+        assert list(config) == _option_dests(cli.build_parser(), argv[0]), argv
+        replay = _argv_of(argv[0], config)
+        assert cli.main(replay) == code, replay
+        second = capsys.readouterr().out
+        assert _report_without_timing(second) == _report_without_timing(first), replay
 
 
 def test_brute_check_respects_max_len(instance_file):
