@@ -31,7 +31,7 @@ from .core import (
 from .gds import DEFAULT_NODE_BUDGET, GdsConfig, gds_search
 from .oracle import DEFAULT_POLICY_BUDGET, brute_force_cover, brute_force_reach
 # load is not called here, but perfbench's tracer wraps cli.load by name.
-from .storage import digest, dumps_json, generate, load, read, save  # noqa: F401
+from .storage import digest, dumps_json, generate, load, read, save, write_file  # noqa: F401
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,8 +151,7 @@ def _cmd_solve(args):
     )
     result = gds_search(instance, config_obj)
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as f:
-            f.write(dumps_json(list(result.trace)) + "\n")
+        write_file(args.trace, (dumps_json(list(result.trace)).encode(), b"\n"))
     payload = {
         **_answer(result if result.found else None),
         "nodes_popped": result.nodes_popped,

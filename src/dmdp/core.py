@@ -126,9 +126,10 @@ class TimeVaryingPolicy:
                     f"decision rule covers {len(rule)} states, "
                     f"instance has {instance.num_states}"
                 )
-            for s, a in enumerate(rule):
-                if not 0 <= a < instance.num_actions:
-                    raise ValueError(f"action {a} for state {s} out of range")
+            if min(rule) < 0 or max(rule) >= instance.num_actions:
+                s, a = next((s, a) for s, a in enumerate(rule)
+                            if not 0 <= a < instance.num_actions)
+                raise ValueError(f"action {a} for state {s} out of range")
 
     @staticmethod
     def from_actions(actions) -> "TimeVaryingPolicy":

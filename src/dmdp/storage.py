@@ -17,6 +17,15 @@ arrays take one _format_float call each.  Instance files are assembled as
 bytes, the header from dumps_json.  save() returns the sha256 of the
 bytes it wrote, which is digest() of the instance.
 
+Every file dmdp writes, instance files and search traces, goes through
+write_file(), which rewrites a file in place: it never truncates an
+existing file to zero first, and cuts it only when the old file was
+longer.  On ext4 with auto_da_alloc (the default), a truncation to zero
+makes close() start writeback and wait for it.  Nothing is fsynced:
+after a crash before writeback the old file is intact, and after a crash
+during writeback the file can hold a mix of old and new pages, which
+read() reports by a different digest.
+
 read() returns an instance and its digest.  A file whose bytes are
 exactly the canonical text of the instance it holds, as every file save()
 writes is, has the sha256 of its bytes as digest, and its arrays are read
@@ -46,6 +55,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from typing import Any
 
 import numpy as np
@@ -779,15 +789,32 @@ def load(path, check: bool = True) -> DmdpInstance:
     return read(path, check)[0]
 
 
+def _open_in_place(path, flags: int) -> int:
+    # FileIO's own flags (O_CLOEXEC, O_BINARY) and mode, less O_TRUNC.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_file(path, chunks) -> None:
+    """Write the byte chunks to path, creating it or rewriting it in place
+    (see the module docstring): an existing file is cut to the written
+    length only when it was longer.  FIFOs and character devices such as
+    os.devnull report size 0, so they are never truncated."""
+    written = 0
+    with open(path, "wb", opener=_open_in_place) as f:
+        for chunk in chunks:
+            written += f.write(chunk)
+        # Before the last flush the size is the old length, or at most written.
+        if os.fstat(f.fileno()).st_size > written:
+            f.truncate(written)
+
+
 def save(instance: DmdpInstance, path) -> str:
-    """Write the canonical file and return the sha256 of the bytes written,
-    which is digest(instance)."""
+    """Write the canonical file with write_file and return the sha256 of
+    the bytes written, which is digest(instance)."""
     # Serialize before opening, so that a value the writer rejects leaves
     # an existing file as it was and creates no new one.
     document = _document_bytes(instance)
-    with open(path, "wb") as f:
-        f.write(document)
-        f.write(b"\n")
+    write_file(path, (document, b"\n"))
     return _file_digest(document)
 
 

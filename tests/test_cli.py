@@ -227,11 +227,16 @@ def test_ragged_arrays_and_non_finite_metadata_exit_1_with_their_location(tmp_pa
 
 
 def test_trace_file_records_the_search(instance_file, tmp_path):
-    trace_path = str(tmp_path / "trace.json")
-    proc = run_cli("solve-reach", instance_file, "--start", "0",
-                   "--target", "0,1,2", "--trace", trace_path)
-    assert proc.returncode == 0
-    events = json.loads(Path(trace_path).read_text())
+    trace_path = tmp_path / "trace.json"
+    fresh_path = tmp_path / "fresh.json"
+    # A longer file at the trace path is rewritten, not appended to.
+    trace_path.write_bytes(b"x" * 1_000_000)
+    for path in (trace_path, fresh_path):
+        proc = run_cli("solve-reach", instance_file, "--start", "0",
+                       "--target", "0,1,2", "--trace", str(path))
+        assert proc.returncode == 0
+    assert trace_path.read_bytes() == fresh_path.read_bytes()
+    events = json.loads(trace_path.read_text())
     assert events[0]["event"] == "pop"
     assert events[-1]["event"] == "terminate"
     kinds = {e["event"] for e in events}

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -77,6 +79,24 @@ def test_save_that_cannot_serialize_leaves_files_alone(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         save(bad, fresh)
     assert not fresh.exists()
+
+
+def test_save_rewrites_a_longer_or_shorter_file_exactly(tmp_path):
+    small = generate(2, 3, 2, 2, 0.5)
+    large = generate(2, 4, 3, 5, 0.5)
+    path = tmp_path / "inst.json"
+    save(large, path)
+    for new in (small, large):
+        assert save(new, path) == digest(new)
+        assert path.read_bytes() == dumps_instance(new).encode()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull)
+                    or not stat.S_ISCHR(os.stat(os.devnull).st_mode),
+                    reason="os.devnull is not a character device")
+def test_save_to_devnull_returns_the_digest():
+    inst = generate(2, 3, 2, 2, 0.5)
+    assert save(inst, os.devnull) == digest(inst)
 
 
 def test_gamma_of_one_fails_load(tmp_path):
