@@ -69,7 +69,49 @@ def q_values(instance: DmdpInstance, next_values: np.ndarray, t: int) -> np.ndar
         )
     if not 0 <= t < instance.horizon:
         raise ValueError(f"epoch {t} outside horizon {instance.horizon}")
+    return _q(instance, next_values, t)
+
+
+def _q(instance: DmdpInstance, next_values: np.ndarray, t: int) -> np.ndarray:
     return instance.reward[t] + instance.gamma * (instance.transition @ next_values)
+
+
+def _lookahead(instance: DmdpInstance, values: np.ndarray, out: np.ndarray, reduce=None):
+    """For each epoch t from the last down to 0, out[t] = the lookahead q_t
+    against the row values[t + 1], or reduce(q_t, axis=1).  out may be
+    values itself: row t + 1 is then written before row t reads it, which
+    is backward induction.  Returns out."""
+    for t in reversed(range(instance.horizon)):
+        q = _q(instance, values[t + 1], t)
+        out[t] = q if reduce is None else reduce(q, axis=1)
+    return out
+
+
+def _actions(instance: DmdpInstance, policy: TimeVaryingPolicy, length: int) -> np.ndarray:
+    """The policy's rules as one (length, S) int array, padded with
+    action-0 rules.  The policy must pass check_against."""
+    acts = np.zeros((length, instance.num_states), np.intp)
+    if policy.rules:
+        acts[: len(policy)] = policy.rules
+    return acts
+
+
+def _evaluate(instance: DmdpInstance, acts: np.ndarray, start_time: int = 0) -> np.ndarray:
+    """Backward induction of the rules acts (n, S) placed at start_time:
+    the (n + 1, S) value rows.  The rewards are gathered in one indexing
+    op.  Each epoch's kernel is one take of rows of the (S * A, S) view of
+    the transition: the C-contiguous (S, S) matrix that _rule_kernel
+    builds, so each matrix-vector product has the bits of the product
+    with _rule_kernel's matrix."""
+    n, S = acts.shape
+    rows = np.arange(0, S * instance.num_actions, instance.num_actions) + acts
+    flat = instance.transition.reshape(-1, S)
+    rewards = instance.reward.reshape(instance.horizon, -1)[
+        np.arange(start_time, start_time + n)[:, None], rows]
+    values = np.zeros((n + 1, S))
+    for i in reversed(range(n)):
+        values[i] = rewards[i] + instance.gamma * (flat.take(rows[i], axis=0) @ values[i + 1])
+    return values
 
 
 def _rule_kernel(instance: DmdpInstance, actions) -> np.ndarray:
@@ -114,13 +156,7 @@ def evaluate_policy(
             f"policy of length {n} at start_time {start_time} overruns "
             f"horizon {instance.horizon}"
         )
-    values = np.zeros((n + 1, instance.num_states))
-    for i in reversed(range(n)):
-        actions = policy.rules[i]
-        r_pi = _rule_rewards(instance, actions, start_time + i)
-        p_pi = _rule_kernel(instance, actions)
-        values[i] = r_pi + instance.gamma * (p_pi @ values[i + 1])
-    return ValueTable(values)
+    return ValueTable(_evaluate(instance, _actions(instance, policy, n), start_time))
 
 
 def evaluate_extensions(instance: DmdpInstance, prefix, rules, tail) -> np.ndarray:
@@ -153,34 +189,31 @@ def bellman_value_operator(instance: DmdpInstance, values: ValueTable) -> ValueT
             f"value table has {values.num_rows} rows, expected horizon+1 = "
             f"{instance.horizon + 1}"
         )
-    out = np.zeros_like(values.values)
-    for t in range(instance.horizon):
-        out[t] = q_values(instance, values.values[t + 1], t).max(axis=1)
-    return ValueTable(out)
+    return ValueTable(_lookahead(instance, values.values, np.zeros_like(values.values), np.ndarray.max))
 
 
 def optimal_values(instance: DmdpInstance) -> ValueTable:
     """The optimal value table V*, by exact backward induction."""
     values = np.zeros((instance.horizon + 1, instance.num_states))
-    for t in reversed(range(instance.horizon)):
-        values[t] = q_values(instance, values[t + 1], t).max(axis=1)
-    return ValueTable(values)
+    return ValueTable(_lookahead(instance, values, values, np.ndarray.max))
 
 
 def q_tables(instance: DmdpInstance, values: ValueTable) -> np.ndarray:
     """The one-step lookahead of every epoch, stacked: q[t, s, a]."""
     if values.num_rows != instance.horizon + 1:
         raise ValueError("q_tables requires a full-horizon value table")
-    return np.stack(
-        [q_values(instance, values.values[t + 1], t) for t in range(instance.horizon)]
-    )
+    shape = (instance.horizon, instance.num_states, instance.num_actions)
+    return _lookahead(instance, values.values, np.empty(shape))
 
 
 def greedy_policy(instance: DmdpInstance, values: ValueTable) -> TimeVaryingPolicy:
     """Full-horizon policy that argmaxes the lookahead against `values`
     at every epoch.  Ties break toward the lowest action index."""
-    actions = np.argmax(q_tables(instance, values), axis=2).tolist()
-    return TimeVaryingPolicy(tuple(map(tuple, actions)))
+    return _policy(q_tables(instance, values).argmax(axis=2))
+
+
+def _policy(acts: np.ndarray) -> TimeVaryingPolicy:
+    return TimeVaryingPolicy(tuple(map(tuple, acts.tolist())))
 
 
 def pad_policy(instance: DmdpInstance, policy: TimeVaryingPolicy) -> TimeVaryingPolicy:
@@ -224,14 +257,14 @@ def policy_iteration(
         max_iters = instance.horizon * instance.num_states * instance.num_actions + 1
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    policy = pad_policy(instance, init)
-    values = evaluate_policy(instance, policy)
+    init.check_against(instance)
+    values = _evaluate(instance, _actions(instance, init, instance.horizon))
+    q = np.empty((instance.horizon, instance.num_states, instance.num_actions))
     for iteration in range(1, max_iters + 1):
-        improved = greedy_policy(instance, values)
-        new_values = evaluate_policy(instance, improved)
-        policy = improved
-        if sup_distance(new_values, values) < CONVERGENCE_TOL:
-            return PolicyIterationResult(policy, new_values, iteration)
+        acts = _lookahead(instance, values, q).argmax(axis=2)
+        new_values = _evaluate(instance, acts)
+        if np.max(np.abs(new_values - values)) < CONVERGENCE_TOL:
+            return PolicyIterationResult(_policy(acts), ValueTable(new_values), iteration)
         values = new_values
     raise ConvergenceError(
         f"policy iteration did not converge within {max_iters} iterations"

@@ -328,6 +328,11 @@ def _array_chunks(value: np.ndarray, pad: str):
     yield closing.encode()
 
 
+def _ints(items) -> bool:
+    """Whether every item is an int (a bool is not)."""
+    return set(map(type, items)) <= {int}
+
+
 def _text(value: Any, pad: str) -> str:
     """The JSON text of value, whose container lines are indented by pad."""
     if isinstance(value, (float, np.floating)):
@@ -347,9 +352,12 @@ def _text(value: Any, pad: str) -> str:
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         brackets = "[]"
-        # Lists of ints, such as a policy's rules, skip the dispatch.
-        if all(type(item) is int for item in value):
+        # Lists of ints, and lists of them such as a policy's rules, skip
+        # the dispatch.
+        if _ints(value):
             items = list(map(str, value))
+        elif all(type(row) in (list, tuple) and _ints(row) for row in value):
+            items = [_wrap(list(map(str, row)), inner, "[]") for row in value]
         else:
             items = [_text(item, inner) for item in value]
     elif isinstance(value, dict):

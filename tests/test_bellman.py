@@ -18,10 +18,11 @@ from dmdp import (
     optimal_values,
     pad_policy,
     policy_iteration,
+    q_tables,
     q_values,
     sup_distance,
 )
-from dmdp.bellman import evaluate_extensions
+from dmdp.bellman import CONVERGENCE_TOL, evaluate_extensions
 from dmdp.core import enumerate_decision_rules
 
 
@@ -348,3 +349,135 @@ def test_policy_iteration_max_iters_guard():
         policy_iteration(inst, TimeVaryingPolicy.from_actions([[0], [0]]), max_iters=1)
     with pytest.raises(ValueError):
         policy_iteration(inst, EMPTY_POLICY, max_iters=0)
+
+
+# The per-epoch loops the exact sweeps ran before they were written on one
+# action array per policy: one fancy-indexed reward row and kernel per rule,
+# and one lookahead per epoch.  Every sweep must reproduce their bits.
+
+
+def _reference_evaluate(instance, rules, start_time=0):
+    idx = np.arange(instance.num_states)
+    values = np.zeros((len(rules) + 1, instance.num_states))
+    for i in reversed(range(len(rules))):
+        actions = np.asarray(rules[i])
+        r_pi = instance.reward[start_time + i, idx, actions]
+        p_pi = instance.transition[idx, actions, :]
+        values[i] = r_pi + instance.gamma * (p_pi @ values[i + 1])
+    return values
+
+
+def _reference_q(instance, values, t):
+    return instance.reward[t] + instance.gamma * (instance.transition @ values[t + 1])
+
+
+def _reference_q_tables(instance, values):
+    return np.stack([_reference_q(instance, values, t) for t in range(instance.horizon)])
+
+
+def _reference_greedy(instance, values):
+    return tuple(map(tuple, np.argmax(_reference_q_tables(instance, values), axis=2).tolist()))
+
+
+def _reference_optimal_values(instance):
+    values = np.zeros((instance.horizon + 1, instance.num_states))
+    for t in reversed(range(instance.horizon)):
+        values[t] = _reference_q(instance, values, t).max(axis=1)
+    return values
+
+
+def _reference_policy_iteration(instance, init):
+    filler = (0,) * instance.num_states
+    values = _reference_evaluate(instance, init + (filler,) * (instance.horizon - len(init)))
+    for iteration in range(1, instance.horizon * instance.num_states * instance.num_actions + 2):
+        improved = _reference_greedy(instance, values)
+        new_values = _reference_evaluate(instance, improved)
+        if np.max(np.abs(new_values - values)) < CONVERGENCE_TOL:
+            return improved, new_values, iteration
+        values = new_values
+    raise AssertionError("the reference did not converge")
+
+
+def _with_twin_actions(instance):
+    """The instance with action 1 a copy of action 0: the same kernel row
+    and rewards, so their lookaheads tie exactly."""
+    transition = instance.transition.copy()
+    reward = instance.reward.copy()
+    transition[:, 1] = transition[:, 0]
+    reward[:, :, 1] = reward[:, :, 0]
+    return DmdpInstance(
+        num_states=instance.num_states, num_actions=instance.num_actions,
+        horizon=instance.horizon, gamma=instance.gamma, r_max=instance.r_max,
+        transition=transition, reward=reward, sign_mode=instance.sign_mode,
+    )
+
+
+def _sweep_instances():
+    rng = np.random.default_rng(21)
+    shapes = [(S, A, T) for S in (1, 2, 3, 5, 8) for A in (1, 2, 3, 5) for T in range(1, 7)]
+    for k, (S, A, T) in enumerate(shapes):
+        yield generate(k, S, A, T, [0.5, 0.9, 0.0][k % 3])
+        yield sparse_instance(k, S, A, T, [0.3, 0.95][k % 2])
+        if k % 5 == 0:
+            yield _with_negative_zero_rewards(generate(k + 1, S, A, T, 0.7), rng)
+    for seed in range(4):
+        yield _with_twin_actions(generate(seed, 3, 3, 4, 0.5))
+        yield _with_twin_actions(sparse_instance(seed, 5, 2, 5, 0.5))
+
+
+def test_exact_sweeps_are_bit_equal_to_the_per_epoch_loops():
+    rng = np.random.default_rng(7)
+    ties = 0
+    for inst in _sweep_instances():
+        S, A, T = inst.num_states, inst.num_actions, inst.horizon
+        star = _reference_optimal_values(inst)
+        assert optimal_values(inst).values.tobytes() == star.tobytes()
+
+        table = np.vstack([rng.uniform(-3, 3, size=(T, S)), np.zeros((1, S))])
+        for values in (star, table):
+            q = _reference_q_tables(inst, values)
+            assert q_tables(inst, ValueTable(values)).tobytes() == q.tobytes()
+            assert greedy_policy(inst, ValueTable(values)).rules == _reference_greedy(inst, values)
+            assert (bellman_value_operator(inst, ValueTable(values)).values.tobytes()
+                    == np.vstack([q.max(axis=2), np.zeros((1, S))]).tobytes())
+            if A > 1:
+                ties += int(np.sum(q[..., 0] == q[..., 1]))
+
+        for length in {T, T - 1, 1, 0}:
+            rules = tuple(map(tuple, rng.integers(A, size=(length, S)).tolist()))
+            for start_time in range(T - length + 1):
+                got = evaluate_policy(inst, TimeVaryingPolicy(rules), start_time=start_time)
+                assert got.values.tobytes() == _reference_evaluate(inst, rules, start_time).tobytes()
+
+        short = tuple(map(tuple, rng.integers(A, size=(T // 2, S)).tolist()))
+        for init in ((), short, _reference_greedy(inst, star)):
+            policy, values, iterations = _reference_policy_iteration(inst, init)
+            result = policy_iteration(inst, TimeVaryingPolicy(init))
+            assert result.policy.rules == policy
+            assert result.values.values.tobytes() == values.tobytes()
+            assert result.iterations == iterations
+    assert ties > 100, ties
+
+
+def test_policy_iteration_checks_only_its_init(monkeypatch):
+    inst = generate(1, 200, 4, 50, 0.9)
+    checked = []
+    check_against = TimeVaryingPolicy.check_against
+
+    def counted(policy, instance):
+        checked.append(policy)
+        check_against(policy, instance)
+
+    monkeypatch.setattr(TimeVaryingPolicy, "check_against", counted)
+    init = TimeVaryingPolicy.from_actions([[3] * 200] * 10)
+    result = policy_iteration(inst, init)
+    assert result.iterations > 1
+    assert len(checked) == 1 and checked[0] is init
+    for bad, message in [
+        ([[0] * 199], "decision rule covers 199 states, instance has 200"),
+        ([[0] * 7 + [4] + [0] * 192], "action 4 for state 7 out of range"),
+        ([[0] * 200] * 51, "policy length 51 exceeds horizon 50"),
+    ]:
+        with pytest.raises(ValueError) as error:
+            policy_iteration(inst, TimeVaryingPolicy.from_actions(bad))
+        assert str(error.value) == message

@@ -342,6 +342,26 @@ def test_dumps_json_rejects_what_it_cannot_spell(value):
         dumps_json(value)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        ((0, 1, 2), (3, 0, 1)),
+        [[], [7], (), [-1, 2**70]],
+        [[]],
+        [(5,)],
+        [[1, True], [2]],
+        [[1], 2, [3]],
+        [[1], None],
+        ([0, [1]], [2]),
+    ],
+)
+def test_tables_of_ints_are_written_as_json_dumps_writes_them(table):
+    # A policy's rules take a row at a time; bools, scalars and deeper
+    # lists fall back to the dispatch.
+    assert dumps_json(table) == json.dumps(table, indent=2)
+    assert dumps_json({"policy": table}) == json.dumps({"policy": table}, indent=2)
+
+
 # ---------------------------------------------------------------------------
 # float64 arrays are written row by row; the bytes are those of their lists
 
