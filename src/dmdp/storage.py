@@ -5,7 +5,8 @@ through a small deterministic serializer that renders every float with 17
 significant digits (enough to reproduce any double exactly on reload), so
 identical instances always produce identical bytes — which is also what
 makes content digests and golden-report comparisons meaningful.  A
-float64 array is written with the bytes its nested lists would give.
+float64 array is written with the bytes its nested lists would give, and
+nested lists of floats of equal lengths are written as that array.
 Arrays of at least KERNEL_MIN_SIZE entries are written KERNEL_BLOCK
 entries at a time, as rows of little-endian uint64 words, one per entry:
 the text before it, from a table by the depth of the container it opens
@@ -118,12 +119,15 @@ def _wrap(items: list[str], pad: str, brackets: str) -> str:
 _WINDOW = (1e-4, 1e16)
 # Arrays with fewer entries than this are formatted by _format_float alone:
 # the writer's fixed numpy cost ties with one dtoa call per entry between
-# 128 and 256 entries and wins by 1.4x at 256 (medians, x86_64, 2 vCPUs,
-# numpy 2.4).  Files whose arrays hold fewer in all are parsed by json.loads
-# (_canonical_instance), although the reader's crossover lies higher: it
-# takes 1.9 ms against 1.3 ms for parse_instance and digest at 480 entries,
-# 1.9 ms against 1.6 ms at 768, ties near 1,300 and takes 2.7 ms against
-# 3.4 ms at 2,304 (medians of 41 calls, same machine).
+# 128 and 256 entries.  At 256 it wins by 1.1-1.5x on entries below 1 in
+# magnitude, which skip the point pass, and by 1.0-1.3x on entries up to 10,
+# which run it (medians of 301 interleaved calls in each of three runs, which
+# differ by the host's drift; x86_64, 2 vCPUs, numpy 2.4).  Files whose
+# arrays hold fewer in all are parsed by json.loads (_canonical_instance),
+# although the reader's crossover lies higher: it takes 1.9 ms against
+# 1.3 ms for parse_instance and digest at 480 entries, 1.9 ms against
+# 1.6 ms at 768, ties near 1,300 and takes 2.7 ms against 3.4 ms at 2,304
+# (medians of 41 calls, same machine).
 KERNEL_MIN_SIZE = 256
 # Entries written or read at once, so that the temporaries stay the same
 # size whatever the array's.  Blocks of 16,384 read the S=200 file in 48 ms
@@ -196,7 +200,9 @@ _DIGIT_BASE, _LOW7, _HIGH = _each_byte(ord("0")), _each_byte(0x7F), _each_byte(0
 # of D.  The head ends in the lead digit, after the sign and, when E < 0,
 # "0." and -E - 1 zeros (_HEAD, indexed by negative * 20 + E + 4).  When
 # E >= 0 the point goes before byte 8 + E, and the bytes before it move one
-# to the left to make room.
+# to the left to make room: one pass over the block, which runs only where
+# the block holds an entry inside the window with E >= 0.  Instance arrays,
+# whose probabilities and rewards lie below 1 in magnitude, skip it.
 _EXPONENTS = range(-4, 16)
 _PREFIXES = ["-" * negative + ("0." + "0" * (-e - 1) if e < 0 else "")
              for negative in (0, 1) for e in _EXPONENTS]
@@ -250,7 +256,9 @@ def _token_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     token[:, 0] = np.take(_HEAD, (x < 0) * len(_EXPONENTS) + row) | (lead + ord("0")) << 56
     token[:, 1] = v[:, 0]
     token[:, 2] = v[:, 1]
-    if e.max() >= 0:
+    # Entries outside the window have E = 0 but take _format_float's token
+    # in place of their row, and the pass leaves rows with E < 0 as they are.
+    if (inside & (e >= 0)).any():
         # Every word's bytes one to the left and the next word's first byte
         # last; a row's last word takes the next row's, which no mask keeps.
         flat = token.ravel()
@@ -333,6 +341,24 @@ def _ints(items) -> bool:
     return set(map(type, items)) <= {int}
 
 
+def _float_array(value: list | tuple) -> np.ndarray | None:
+    """value as a float64 array when it nests lists and tuples of equal
+    lengths, none empty, down to leaves that are all floats; else None."""
+    shape, level = [], [value]
+    while (types := set(map(type, level))) <= {list, tuple}:
+        lengths = set(map(len, level))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    if types != {float}:
+        return None
+    try:
+        return np.array(level, np.float64).reshape(shape)
+    except ValueError:  # more dimensions than a numpy array holds
+        return None
+
+
 def _text(value: Any, pad: str) -> str:
     """The JSON text of value, whose container lines are indented by pad."""
     if isinstance(value, (float, np.floating)):
@@ -353,11 +379,13 @@ def _text(value: Any, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         brackets = "[]"
         # Lists of ints, and lists of them such as a policy's rules, skip
-        # the dispatch.
+        # the dispatch, and nested lists of floats take the array writer.
         if _ints(value):
             items = list(map(str, value))
         elif all(type(row) in (list, tuple) and _ints(row) for row in value):
             items = [_wrap(list(map(str, row)), inner, "[]") for row in value]
+        elif (array := _float_array(value)) is not None:
+            return _text(array, pad)
         else:
             items = [_text(item, inner) for item in value]
     elif isinstance(value, dict):

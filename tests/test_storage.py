@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -295,6 +296,11 @@ def test_instance_text_is_the_text_of_its_document_as_lists(shape):
     doc = storage.instance_document(instance)
     doc["transition"], doc["reward"] = instance.transition.tolist(), instance.reward.tolist()
     assert dumps_instance(instance) == dumps_json(doc) + "\n"
+    # The same text with each array spelled by _listed, not the array writer.
+    doc["transition"], doc["reward"] = "<transition>", "<reward>"
+    expected = dumps_json(doc).replace('"<transition>"', _listed(instance.transition, "  "))
+    expected = expected.replace('"<reward>"', _listed(instance.reward, "  "))
+    assert dumps_instance(instance) == expected + "\n"
 
 
 def _every_accepted_type():
@@ -362,8 +368,69 @@ def test_tables_of_ints_are_written_as_json_dumps_writes_them(table):
     assert dumps_json({"policy": table}) == json.dumps({"policy": table}, indent=2)
 
 
+@pytest.mark.parametrize(
+    "value, shapes",
+    [
+        ([1.5, -2.0], [(2,)]),
+        (((0.25, 1.0), (3.0, -0.5)), [(2, 2)]),
+        ([(1.5,), [2.5]], [(2, 1)]),
+        ([[[-0.0]]], [(1, 1, 1)]),
+        ([1.5, 2], []),
+        ([1.5, True], []),
+        ([1.5, None], []),
+        ([np.float64(1.5)], []),
+        ([[], []], []),
+        # Ragged and mixed lists take the writer for JSON values, whose
+        # lists of floats take the array writer in turn.
+        ([[1.5], [2.5, 3.5]], [(1,), (2,)]),
+        ([[1.5], 2.5], [(1,)]),
+        ([[1.5], []], [(1,)]),
+        ({"values": [[1.5, 2.5]], "rules": [[0.5, 1]]}, [(1, 2)]),
+    ],
+    ids=str,
+)
+def test_nested_lists_of_floats_take_the_array_writer(value, shapes, monkeypatch):
+    # These floats' reprs are their _format_float tokens, so json.dumps
+    # spells the text of the writer for JSON values.
+    written = []
+    array_chunks = storage._array_chunks
+    monkeypatch.setattr(storage, "_array_chunks",
+                        lambda array, pad: written.append(array.shape) or array_chunks(array, pad))
+    assert dumps_json(value) == json.dumps(value, indent=2)
+    assert written == shapes
+
+
+def test_float_lists_nested_deeper_than_numpy_allows_keep_the_list_writer():
+    value = [1.5]
+    for _ in range(70):
+        value = [value]
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [([1.5, math.nan], "nan"), ([[1.5], [-math.inf]], "-inf"), ([1, math.inf], "inf"),
+     ([[1.5, math.inf], [2.0, math.nan]], "inf")],
+    ids=str,
+)
+def test_non_finite_entry_of_a_list_is_rejected_at_the_first(value, shown):
+    with pytest.raises(ValueError) as exc:
+        dumps_json(value)
+    assert str(exc.value) == f"cannot serialize non-finite float {shown}"
+
+
 # ---------------------------------------------------------------------------
 # float64 arrays are written row by row; the bytes are those of their lists
+
+
+def _listed(values, pad="", tokens=None):
+    """The text of the nested lists of the float64 array values, whose
+    container lines are indented by pad, without the array writer: each
+    entry's _format_float token (or tokens[i] for entry i in C order),
+    placed by _template."""
+    if tokens is None:
+        tokens = tuple(map(storage._format_float, np.ravel(values).tolist()))
+    return storage._template(np.shape(values), pad) % tokens
 
 
 AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e17, -1e17,
@@ -407,8 +474,9 @@ def _awkward_arrays():
 def test_float_arrays_are_written_as_their_lists(name):
     arr = _awkward_arrays()[name]
     assert arr.dtype == np.float64
-    assert dumps_json(arr) == dumps_json(arr.tolist())
-    assert dumps_json({"a": [arr]}) == dumps_json({"a": [arr.tolist()]})
+    assert dumps_json(arr) == dumps_json(arr.tolist()) == _listed(arr)
+    listed = "{\n  \"a\": [\n    " + _listed(arr, "    ") + "\n  ]\n}"
+    assert dumps_json({"a": [arr]}) == dumps_json({"a": [arr.tolist()]}) == listed
 
 
 # Every awkward array but the largest is smaller than the kernel's
@@ -432,7 +500,8 @@ def test_opening_depths_give_the_nesting_of_the_template(shape, pad, monkeypatch
     # The writer and the reader take their layout from the same depths.
     monkeypatch.setattr(storage, "KERNEL_MIN_SIZE", 0)
     values = np.arange(1.0, len(markers) + 1).reshape(shape) / 7
-    assert storage._text(values, pad) == storage._text(values.tolist(), pad)
+    text = storage._text(values, pad)
+    assert text == storage._text(values.tolist(), pad) == _listed(values, pad)
     assert np.array_equal(_read_array_text(values, pad), values)
 
 
@@ -454,7 +523,9 @@ def test_non_finite_entry_of_an_array_is_rejected_as_in_a_list(bad):
                 dumps_json(view.tolist())
             with pytest.raises(ValueError) as from_array:
                 dumps_json(view)
-            assert str(from_array.value) == str(from_list.value)
+            with pytest.raises(ValueError) as listed:
+                _listed(view)
+            assert str(from_array.value) == str(from_list.value) == str(listed.value)
             assert str(from_array.value).startswith("cannot serialize non-finite float")
 
 
@@ -493,6 +564,13 @@ def _kernel_sweep_values():
         [patterns, *decades, *integral, near, -near, *ties, named]
     )
     return values[np.isfinite(values)]
+
+
+@functools.cache
+def _kernel_sweep_tokens():
+    """_format_float's token of each of _kernel_sweep_values, one per line:
+    one string takes a fifth of the memory of a tuple of them."""
+    return "\n".join(map(storage._format_float, _kernel_sweep_values().tolist()))
 
 
 def _inside_the_window(values):
@@ -537,25 +615,74 @@ def test_kernel_sweep_is_written_as_its_lists(shape):
     values = _kernel_sweep_values()
     size = math.prod(shape[1:])
     values = values[: len(values) // size * size].reshape(shape)
-    assert dumps_json(values) == dumps_json(values.tolist())
+    tokens = tuple(_kernel_sweep_tokens().split("\n")[: values.size])
+    listed = _listed(values, tokens=tokens)
+    assert dumps_json(values) == dumps_json(values.tolist()) == listed
 
 
 def test_deeply_nested_arrays_are_written_as_their_lists():
     values = (np.arange(512) / 7.0).reshape((1,) * 15 + (2,) + (1,) * 14 + (256,))
-    assert dumps_json(values) == dumps_json(values.tolist())
+    assert dumps_json(values) == dumps_json(values.tolist()) == _listed(values)
 
 
 def test_writer_spells_every_token_inside_the_window_with_array_operations(monkeypatch):
     # Only entries outside the window take _format_float.
     values = _inside_the_window(_kernel_sweep_values())
     values = values[: len(values) // 77 * 77].reshape(-1, 7, 11)
-    expected = dumps_json(values.tolist())
+    expected = _listed(values)
 
     def slow_path(x):
         raise AssertionError(f"{x!r} took the slow path")
 
     monkeypatch.setattr(storage, "_format_float", slow_path)
     assert dumps_json(values) == expected
+
+
+@pytest.mark.parametrize("min_size", [storage.KERNEL_MIN_SIZE, 0])
+def test_point_pass_runs_only_for_blocks_with_an_inside_entry_of_one_or_more(
+    min_size, monkeypatch
+):
+    # Zeros and entries below 1e-4 have E = 0 in the kernel but take
+    # _format_float's token, so alone they do not make a block insert the
+    # point.  Only that pass reads _POINT, so its takes count the passes.
+    passes = []
+
+    class Counted(np.ndarray):
+        def take(self, *args, **kwargs):
+            passes.append(1)
+            return np.asarray(self).take(*args, **kwargs)
+
+    monkeypatch.setattr(storage, "_POINT", storage._POINT.view(Counted))
+    monkeypatch.setattr(storage, "KERNEL_MIN_SIZE", min_size)
+    rng = np.random.default_rng(22)
+    # Two blocks, with rows 0 and KERNEL_BLOCK - 1 in the first and the last
+    # entry in the second; and an array below the default KERNEL_MIN_SIZE.
+    for shape, middle in [((storage.KERNEL_BLOCK // 32 + 1, 4, 8), storage.KERNEL_BLOCK - 1),
+                          ((3, 4, 8), 50)]:
+        size = math.prod(shape)
+        base = rng.uniform(1e-4, 1.0, size) * rng.choice([-1.0, 1.0], size)
+        places, neighbours = [0, middle, size - 1], [1, middle - 1, size - 2]
+        kernel = size >= min_size
+        for turn in range(3):
+            outside = np.roll([0.0, -0.0, 5e-05], turn)
+            values = base.copy()
+            values[places] = outside
+            passes.clear()
+            assert dumps_json(values.reshape(shape)) == _listed(values.reshape(shape))
+            assert passes == []
+            # An inside entry of 1 or more at a place, its outside entry next to it.
+            bigs = [1.0, -12.5, 1e15]
+            for place, neighbour, big, other in zip(places, neighbours, bigs, outside):
+                values = base.copy()
+                values[places] = outside
+                values[neighbour], values[place] = other, big
+                passes.clear()
+                assert dumps_json(values.reshape(shape)) == _listed(values.reshape(shape))
+                assert len(passes) == kernel
+    # An instance's probabilities and rewards all lie below 1 in magnitude.
+    passes.clear()
+    dumps_instance(generate(3, 64, 4, 50, 0.9))
+    assert passes == []
 
 
 def test_float_array_text_is_written_in_blocks():
@@ -891,6 +1018,50 @@ def test_read_of_other_spellings_and_broken_files_is_that_of_the_parser(
         "reward -0.00012345678901234567", "reward -1.2345678901234567e-100",
     )
     assert canonical == (name in spelled_canonically)
+
+
+_EDIT_BYTES = b'0123456789.-+eE,[]{}:" \n\r\tx'
+
+
+def _byte_edit(rng, data: bytes) -> tuple[bytes, str]:
+    """data with one random edit, and a description of it.  Most edits put
+    a digit in place of another, which keeps a file close to canonical;
+    some add a digit after a token's last one or drop a digit, and the
+    rest substitute, insert or delete a byte anywhere."""
+    digits = np.flatnonzero(np.frombuffer(data, np.uint8) - ord("0") < 10)
+    kind = rng.choice(["digit", "append", "drop", "substitute", "insert", "delete"],
+                      p=[0.5, 0.1, 0.1, 0.15, 0.075, 0.075])
+    if kind == "digit":
+        at, cut = int(rng.choice(digits)), 1
+        new = b"%d" % ((data[at] - ord("0") + rng.integers(1, 10)) % 10)
+    elif kind == "append":
+        at, cut = int(rng.choice(digits[~np.isin(digits + 1, digits)])) + 1, 0
+        new = b"%d" % rng.integers(10)
+    elif kind == "drop":
+        at, cut, new = int(rng.choice(digits)), 1, b""
+    else:
+        at, cut = int(rng.integers(len(data))), int(kind != "insert")
+        i = rng.integers(len(_EDIT_BYTES))
+        new = b"" if kind == "delete" else _EDIT_BYTES[i : i + 1]
+    return data[:at] + new + data[at + cut :], f"{kind} {new!r} at {at}"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_read_of_random_byte_edits_is_that_of_the_parser(seed, tmp_path, monkeypatch):
+    # 250 seeded edits of canonical 9x3x6 files, each read both ways.
+    rng = np.random.default_rng(seed)
+    files = [dumps_instance(inst).encode()
+             for inst in (_reader_instance({"name": "naïve", "seed": 5}),
+                          generate(seed, 9, 3, 6, 0.75))]
+    path = tmp_path / "edited.json"
+    for _ in range(250):
+        which = int(rng.integers(len(files)))
+        data, edit = _byte_edit(rng, files[which])
+        path.write_bytes(data)
+        try:
+            _assert_read_as_parsed(path, monkeypatch)
+        except AssertionError as e:
+            raise AssertionError(f"file {which}, {edit}") from e
 
 
 @pytest.mark.parametrize(
