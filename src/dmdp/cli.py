@@ -3,8 +3,8 @@
 Every subcommand prints a single JSON run report to stdout: command,
 library version, instance digest, config, the result payload, and
 wall-clock timing.  The config holds every option of the subcommand, in
-its parser's order, with the value the run used: `node_budget` after
-GDS_NODE_BUDGET and the default, `max_len` after the horizon default.
+its parser's order, with the value the run used: `max_len` after the
+horizon default.
 Exit codes: 0 success, 2 when a requested solution does not exist, 1 on
 errors, 64 on usage errors.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 
@@ -42,20 +41,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_states(text: str) -> list[int]:
+    # An empty part, as in '' or '0,,1', is malformed, not skipped.
     try:
-        states = [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
-        states = []
-    if not states:
         raise argparse.ArgumentTypeError(
             f"expected one or more comma-separated state ids, got {text!r}"
         )
-    return states
 
 
 def _parse_policy(text: str) -> tuple[tuple[int, ...], ...]:
+    # '' is the empty policy, which a replayed `init: []` passes; any other
+    # empty part, as in '0;;1' or '0,1;', is malformed.
+    if text == "":
+        return ()
     try:
-        return tuple(tuple(int(a) for a in epoch.split(",")) for epoch in text.split(";") if epoch)
+        return tuple(tuple(int(a) for a in epoch.split(",")) for epoch in text.split(";"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected ';'-separated epochs of comma-separated actions, got {text!r}"
@@ -70,18 +71,6 @@ def _parse_positive(text: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return number
-
-
-def _node_budget(args) -> int:
-    if args.node_budget is not None:
-        return args.node_budget
-    env = os.environ.get("GDS_NODE_BUDGET")
-    if env is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        return _parse_positive(env)
-    except argparse.ArgumentTypeError as e:
-        args.usage_error(f"GDS_NODE_BUDGET: {e}")
 
 
 def _answer(best) -> dict:
@@ -138,7 +127,6 @@ def _cmd_policy_iter(args):
 
 
 def _cmd_solve(args):
-    args.node_budget = _node_budget(args)
     instance, instance_digest = read(args.file)
     config_obj = GdsConfig(
         start=args.start,
@@ -232,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use proper-subset goal inclusions")
         p.add_argument("--verify", action="store_true",
                        help="re-derive queued values by exact evaluation")
-        p.add_argument("--node-budget", type=_parse_positive, default=None)
+        p.add_argument("--node-budget", type=_parse_positive, default=DEFAULT_NODE_BUDGET)
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="write the search event log to PATH")
-        p.set_defaults(func=_cmd_solve, usage_error=p.error)
+        p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("brute-check", help="exhaustive baseline for solve results")
     p.add_argument("file")
@@ -277,7 +265,7 @@ def main(argv=None) -> int:
         instance_digest, result, code = args.func(args)
         # Every attribute but those that pick and run the subcommand is an option.
         config = {key: value for key, value in vars(args).items()
-                  if key not in ("command", "func", "usage_error")}
+                  if key not in ("command", "func")}
         report = {
             "command": args.command,
             "library_version": __version__,

@@ -122,6 +122,8 @@ class GdsConfig:
     strict_subset switches composition.satisfies, the goal constraint that
     serves both termination (a node against the target) and pruning (a
     record against a node), from subset-or-equal to proper subset.
+    trace logs the search's events into GdsResult.trace; README's "Search
+    trace" section lists each event, its fields and the terminate reasons.
     verify re-derives every pushed node's value by exact backward
     induction and checks the pop order.  An expansion's children share
     their path up to the last rule, so one batched backward pass

@@ -273,36 +273,30 @@ def test_search_nodes_are_capped_one_at_a_time(tmp_path):
         assert goal <= {0, 1, 2, 3} if mode == "reach" else goal >= {0, 1, 2, 3}
 
 
-def test_node_budget_env_var(instance_file):
-    env = dict(os.environ, GDS_NODE_BUDGET="1")
-    proc = run_cli("solve-reach", instance_file, "--start", "0",
-                   "--target", "0,1,2", env=env)
+def test_node_budget_flag(instance_file):
+    argv = ["solve-reach", instance_file, "--start", "0", "--target", "0,1,2"]
+    proc = run_cli(*argv, "--node-budget", "1")
     assert proc.returncode == 1
     assert "budget" in proc.stderr
-    # explicit flag beats the environment
-    proc = run_cli("solve-reach", instance_file, "--start", "0",
-                   "--target", "0,1,2", "--node-budget", "100000", env=env)
-    assert proc.returncode == 0
-    assert report_of(proc)["config"]["node_budget"] == 100000
-    # the report echoes the budget the run used, from the environment or
-    # the default
-    for environ, echoed in ((dict(os.environ, GDS_NODE_BUDGET="100000"), 100000),
-                            ({k: v for k, v in os.environ.items() if k != "GDS_NODE_BUDGET"},
-                             1000000)):
-        proc = run_cli("solve-reach", instance_file, "--start", "0", "--target", "0,1,2",
-                       env=environ)
+    # the report echoes the budget the run used, from the flag or the default
+    for flag, echoed in ((["--node-budget", "100000"], 100000), ([], 1000000)):
+        proc = run_cli(*argv, *flag)
         assert proc.returncode == 0
         assert report_of(proc)["config"]["node_budget"] == echoed
     # a budget that is not a positive integer is a usage error
     for value in ("abc", "0"):
-        proc = run_cli("solve-reach", instance_file, "--start", "0", "--target", "0,1,2",
-                       env=dict(os.environ, GDS_NODE_BUDGET=value))
+        proc = run_cli(*argv, "--node-budget", value)
         assert proc.returncode == 64
-        assert "usage:" in proc.stderr and "GDS_NODE_BUDGET" in proc.stderr
-    proc = run_cli("solve-reach", instance_file, "--start", "0", "--target", "0,1,2",
-                   "--node-budget", "0")
-    assert proc.returncode == 64
-    assert "usage:" in proc.stderr and "--node-budget" in proc.stderr
+        assert "usage:" in proc.stderr and "--node-budget" in proc.stderr
+
+
+def test_environment_does_not_set_the_node_budget(instance_file):
+    # The budget is an option like any other: GDS_NODE_BUDGET is not read.
+    argv = ["solve-reach", instance_file, "--start", "0", "--target", "0,1,2"]
+    plain = run_cli(*argv, env={k: v for k, v in os.environ.items() if k != "GDS_NODE_BUDGET"})
+    tight = run_cli(*argv, env=dict(os.environ, GDS_NODE_BUDGET="1"))
+    assert plain.returncode == tight.returncode == 0, tight.stderr
+    assert _report_without_timing(tight.stdout) == _report_without_timing(plain.stdout)
 
 
 def test_non_finite_numbers_exit_1_with_their_location(tmp_path):
@@ -363,7 +357,6 @@ def test_report_config_replays_to_the_same_result(tmp_path, monkeypatch, capsys)
     from dmdp import cli
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GDS_NODE_BUDGET", raising=False)
     save(generate(7, 3, 2, 3, 0.5), "inst.json")
     save(make_static_gap_instance(), "gap.json")
     save(sparse_instance(1), "sparse.json")
@@ -424,11 +417,17 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (0, ["policy-iter", instance_file]),
         (1, ["policy-iter", missing]),
         (64, ["policy-iter", instance_file, "--init", "0,x"]),
+        (64, ["policy-iter", instance_file, "--init", "0,1,0;;1,1,1"]),
+        (64, ["policy-iter", instance_file, "--init", "0,1,0;"]),
+        (64, ["policy-iter", instance_file, "--init", "0,,1"]),
+        (0, ["policy-iter", instance_file, "--init", ""]),
         (0, ["solve-reach", instance_file, "--start", "0", "--target", "0,1,2"]),
         (2, ["solve-reach", instance_file, "--start", "0", "--target", "2"]),
         (1, ["solve-reach", gap, "--start", "0", "--target", "0"]),
         (64, ["solve-reach", instance_file, "--start", "0", "--target", "a,b"]),
         (64, ["solve-reach", instance_file, "--start", "0", "--target", ""]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", "0,,1"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", "0,1,"]),
         (0, ["solve-cover", frozen, "--start", "0", "--target", "0"]),
         (2, ["solve-cover", frozen, "--start", "0", "--target", "0,1"]),
         (64, ["solve-cover", frozen, "--target", "0"]),
@@ -436,6 +435,7 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (0, ["brute-check", instance_file, "--start", "0", "--target", "0,1,2"]),
         (2, ["brute-check", instance_file, "--start", "0", "--target", "2"]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", ""]),
+        (64, ["brute-check", instance_file, "--start", "0", "--target", ",2"]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", "",
               "--mode", "cover"]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", "0",
@@ -465,8 +465,14 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
             assert report_of(proc)["command"] == argv[0]
         if expected == 64:
             assert proc.stdout == ""
-        if "--target" in argv and argv[argv.index("--target") + 1] in ("", ","):
+        if "--target" in argv and argv[argv.index("--target") + 1] in (
+            "", ",", "0,,1", "0,1,", ",2"
+        ):
             assert "--target: expected one or more comma-separated state ids" in proc.stderr
+        if "--init" in argv and expected == 64:
+            assert "--init: expected ';'-separated epochs" in proc.stderr
+        if argv[-2:] == ["--init", ""]:
+            assert report_of(proc)["config"]["init"] == []
         if "--gamma" in argv and argv[argv.index("--gamma") + 1] in ("1.5", "2"):
             assert proc.stdout == ""
             assert "gamma_range at ()" in proc.stderr
@@ -528,7 +534,6 @@ def test_reports_and_written_files_are_pinned(tmp_path, monkeypatch, capsys):
 
     # A fixed relative path keeps config.file and config.out stable.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GDS_NODE_BUDGET", raising=False)
     save(generate(7, 3, 2, 3, 0.5), "inst.json")
     save(make_static_gap_instance(), "gap.json")
     save(sparse_instance(1), "sparse.json")
@@ -545,7 +550,6 @@ def test_cached_parser_gives_a_fresh_process_report_after_a_usage_error(
 ):
     from dmdp import cli
 
-    monkeypatch.delenv("GDS_NODE_BUDGET", raising=False)
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve-reach", instance_file, "--start", "1", "--target", "0",
                   "--strict", "--node-budget", "0"])

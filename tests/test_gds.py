@@ -237,6 +237,30 @@ def test_pop_values_are_monotone_in_trace():
         assert all(a >= b - 1e-12 for a, b in zip(pops, pops[1:]))
 
 
+def test_each_pop_at_the_horizon_is_cut_off_once():
+    # Verify mode drains both queries, which the root verdict proves
+    # unreachable; the first also prunes.  A drained search pops no node
+    # that meets the goal constraint, so every pop at the horizon is
+    # followed by its cutoff, and nothing else is.
+    kinds = set()
+    for inst, start, target in ((pruning_instance(), 0, [1]), (sparse_instance(0), 0, [2])):
+        config = GdsConfig(start=start, target=GoalSet.from_states(target, inst.num_states),
+                           trace=True, verify=True)
+        trace = gds_search(inst, config).trace
+        kinds |= {e["event"] for e in trace}
+        assert trace[-1] == {"event": "terminate", "reason": "queue-exhausted"}
+        at_horizon = [i for i, e in enumerate(trace)
+                      if e["event"] == "pop" and e["depth"] == inst.horizon]
+        assert at_horizon
+        assert [i for i, e in enumerate(trace) if e["event"] == "cutoff"] == [
+            i + 1 for i in at_horizon
+        ]
+        for i in at_horizon:
+            assert trace[i + 1] == {"event": "cutoff", "depth": inst.horizon,
+                                    "policy": trace[i]["policy"]}
+    assert kinds == {"pop", "push", "record", "prune", "cutoff", "terminate"}
+
+
 def test_queued_values_match_exact_evaluation():
     # verify=True re-derives every pushed node's value by backward
     # induction and raises on disagreement beyond 1e-10.
@@ -558,23 +582,32 @@ def test_every_prune_is_justified_by_set_semantics(sparse_sweep):
     # root verdict now answers without popping.  Four-epoch instances with
     # gamma 0.1 add feasible searches on which pruning fires: seeds 0-9 in
     # reach and non-strict cover, seed 30 from start 2 in strict cover.
-    cases = [(inst, start, targets) for inst, start, targets, _ in sparse_sweep]
-    cases += [(sparse_instance(seed, 3, 2, 4, 0.1), start, EVERY_TARGET)
+    # Where the root verdict leaves them open, they run again in verify
+    # mode, whose own set-semantics check must pass each prune and leave
+    # the answer, counters and trace as they were.
+    cases = [(inst, start, targets, False) for inst, start, targets, _ in sparse_sweep]
+    cases += [(sparse_instance(seed, 3, 2, 4, 0.1), start, EVERY_TARGET, True)
               for seed in range(10) for start in range(3)]
-    cases.append((sparse_instance(30, 3, 2, 4, 0.1), 2, EVERY_TARGET))
+    cases.append((sparse_instance(30, 3, 2, 4, 0.1), 2, EVERY_TARGET, True))
     prunes = {}
-    for inst, start, targets in cases:
+    verified_prunes = {}
+    for inst, start, targets, reverify in cases:
         for members in targets:
             target = GoalSet.from_states(members, 3)
             for mode in ("reach", "cover"):
                 for strict in (False, True):
-                    result = gds_search(inst, GdsConfig(
-                        start=start, target=target, mode=mode,
-                        strict_subset=strict, trace=True,
-                    ))
+                    config = GdsConfig(start=start, target=target, mode=mode,
+                                       strict_subset=strict, trace=True)
+                    result = gds_search(inst, config)
                     events = [e for e in result.trace if e["event"] == "prune"]
                     assert len(events) == result.nodes_pruned
                     prunes[mode, strict] = prunes.get((mode, strict), 0) + len(events)
+                    if reverify and not target_unreachable(inst, start, target, mode, strict):
+                        verified = gds_search(inst, dataclasses.replace(config, verify=True))
+                        assert verified == result
+                        verified_prunes[mode, strict] = (
+                            verified_prunes.get((mode, strict), 0) + verified.nodes_pruned
+                        )
                     for e in events:
                         node, record = set(e["goal"]), set(e["record_goal"])
                         inner, outer = (record, node) if mode == "reach" else (node, record)
@@ -585,6 +618,8 @@ def test_every_prune_is_justified_by_set_semantics(sparse_sweep):
     assert prunes["reach", True] > 0
     assert prunes["cover", False] > 0
     assert prunes["cover", True] > 0
+    assert verified_prunes == {("reach", False): 84, ("reach", True): 58,
+                               ("cover", False): 21, ("cover", True): 4}
 
 
 # ---------------------------------------------------------------------------
