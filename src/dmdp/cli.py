@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 
@@ -40,14 +41,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _parse_states(text: str) -> list[int]:
+# A state id or an action: ASCII digits, with a '-' that leaves a negative
+# number to the range checks.  int() alone would also take '0_1', '+1',
+# ' 2' and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _parse_ints(text: str, sep: str) -> tuple[int, ...]:
     # An empty part, as in '' or '0,,1', is malformed, not skipped.
+    parts = text.split(sep)
+    if not all(_INTEGER.fullmatch(part) for part in parts):
+        raise ValueError(text)
+    return tuple(map(int, parts))
+
+
+def _parse_states(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
+        states = list(_parse_ints(text, ","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected one or more comma-separated state ids, got {text!r}"
         )
+    if len(set(states)) < len(states):
+        raise argparse.ArgumentTypeError(f"expected distinct state ids, got {text!r}")
+    return states
 
 
 def _parse_policy(text: str) -> tuple[tuple[int, ...], ...]:
@@ -56,7 +73,7 @@ def _parse_policy(text: str) -> tuple[tuple[int, ...], ...]:
     if text == "":
         return ()
     try:
-        return tuple(tuple(int(a) for a in epoch.split(",")) for epoch in text.split(";"))
+        return tuple(_parse_ints(epoch, ",") for epoch in text.split(";"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected ';'-separated epochs of comma-separated actions, got {text!r}"
@@ -186,7 +203,8 @@ def _cmd_demo_static_gap(args):
     return digest(instance), payload, 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers():
+    """The top-level parser and its subparsers by command name."""
     parser = _Parser(prog="dmdp", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -250,16 +268,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=1.0 - 1e-9)
     p.set_defaults(func=_cmd_demo_static_gap)
 
-    return parser
+    return parser, sub.choices
 
 
-# Building the parser costs far more than parsing with it, and parsing
-# leaves it unchanged, so one parser serves every call in a process.
-_parser = functools.cache(build_parser)
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+# Building the parsers costs far more than parsing with them, and parsing
+# leaves them unchanged, so one set serves every call in a process.
+_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv as build_parser().parse_args does, with the same
+    namespace, output and exit status.  After a command name, the top-level
+    parser hands every argument to that command's parser; here they go to
+    it directly, and the top-level parser reports only what it leaves."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, rest = commands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
     try:
         instance_digest, result, code = args.func(args)

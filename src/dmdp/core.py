@@ -181,14 +181,27 @@ def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> Valid
     elif instance.r_max < 0.0:
         violations.append(("r_max_nonnegative", (), instance.r_max))
 
+    P, R = instance.transition, instance.reward
+    with np.errstate(invalid="ignore"):
+        totals = P.sum(axis=2)
+    # A valid instance passes on whole-array reductions.  NaN fails every
+    # comparison, so an instance with any violation, NaN or infinity
+    # included, takes the per-cell masks below.
+    if (
+        not violations
+        and 0.0 <= P.min()
+        and P.max() <= 1.0
+        and np.abs(totals - 1.0).max() <= STOCHASTIC_TOL
+        and -instance.r_max <= R.min()
+        and R.max() <= (0.0 if sign_mode == "nonpositive" else instance.r_max)
+    ):
+        return ValidationReport(())
+
     # Each rule is one mask; violations come out of np.flatnonzero over
     # masks stacked along a last axis, so C order reproduces the per-cell
     # order: a row's entries, then its stochasticity; a reward cell's
     # non_finite alone, else its bound, then its sign.
     S, A = instance.num_states, instance.num_actions
-    P = instance.transition
-    with np.errstate(invalid="ignore"):
-        totals = P.sum(axis=2)
     finite = np.isfinite(P)
     checks = np.concatenate(
         [
@@ -207,7 +220,6 @@ def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> Valid
             rule = "transition_range" if finite[s, a, sp] else "non_finite"
             violations.append((rule, (s, a, sp), p))
 
-    R = instance.reward
     finite = np.isfinite(R)
     rules = ("non_finite", "reward_bound", "reward_sign")
     checks = np.stack(

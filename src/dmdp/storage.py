@@ -19,13 +19,14 @@ bytes, the header from dumps_json.  save() returns the sha256 of the
 bytes it wrote, which is digest() of the instance.
 
 Every file dmdp writes, instance files and search traces, goes through
-write_file(), which rewrites a file in place: it never truncates an
-existing file to zero first, and cuts it only when the old file was
-longer.  On ext4 with auto_da_alloc (the default), a truncation to zero
-makes close() start writeback and wait for it.  Nothing is fsynced:
-after a crash before writeback the old file is intact, and after a crash
-during writeback the file can hold a mix of old and new pages, which
-read() reports by a different digest.
+write_file(), which rewrites a file in place through one descriptor,
+written with os.write: it never truncates an existing file to zero first,
+and cuts it only when the old file was longer.  On ext4 with
+auto_da_alloc (the default), a truncation to zero makes close() start
+writeback and wait for it.  Nothing is fsynced: after a crash before
+writeback the old file is intact, and after a crash during writeback the
+file can hold a mix of old and new pages, which read() reports by a
+different digest.
 
 read() returns an instance and its digest.  A file whose bytes are
 exactly the canonical text of the instance it holds, as every file save()
@@ -825,9 +826,10 @@ def load(path, check: bool = True) -> DmdpInstance:
     return read(path, check)[0]
 
 
-def _open_in_place(path, flags: int) -> int:
-    # FileIO's own flags (O_CLOEXEC, O_BINARY) and mode, less O_TRUNC.
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+# The flags and mode open(path, "wb") passes, less O_TRUNC.
+_WRITE_FLAGS = (
+    os.O_WRONLY | os.O_CREAT | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0)
+)
 
 
 def write_file(path, chunks) -> None:
@@ -835,13 +837,18 @@ def write_file(path, chunks) -> None:
     (see the module docstring): an existing file is cut to the written
     length only when it was longer.  FIFOs and character devices such as
     os.devnull report size 0, so they are never truncated."""
-    written = 0
-    with open(path, "wb", opener=_open_in_place) as f:
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        written = 0
         for chunk in chunks:
-            written += f.write(chunk)
-        # Before the last flush the size is the old length, or at most written.
-        if os.fstat(f.fileno()).st_size > written:
-            f.truncate(written)
+            view = memoryview(chunk)
+            written += view.nbytes
+            while view:
+                view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > written:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def save(instance: DmdpInstance, path) -> str:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -420,6 +422,10 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (64, ["policy-iter", instance_file, "--init", "0,1,0;;1,1,1"]),
         (64, ["policy-iter", instance_file, "--init", "0,1,0;"]),
         (64, ["policy-iter", instance_file, "--init", "0,,1"]),
+        (64, ["policy-iter", instance_file, "--init", "0,1,0;1,+1,1"]),
+        (64, ["policy-iter", instance_file, "--init", "0,1,0;1,0_1,1"]),
+        (64, ["policy-iter", instance_file, "--init", "0,1, 0"]),
+        (1, ["policy-iter", instance_file, "--init", "0,1,-1"]),
         (0, ["policy-iter", instance_file, "--init", ""]),
         (0, ["solve-reach", instance_file, "--start", "0", "--target", "0,1,2"]),
         (2, ["solve-reach", instance_file, "--start", "0", "--target", "2"]),
@@ -428,6 +434,13 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (64, ["solve-reach", instance_file, "--start", "0", "--target", ""]),
         (64, ["solve-reach", instance_file, "--start", "0", "--target", "0,,1"]),
         (64, ["solve-reach", instance_file, "--start", "0", "--target", "0,1,"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", "0_1, 2,+1"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", "0_1"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", "+1"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", " 2"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", "\u0661"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", "0,1,0"]),
+        (1, ["solve-reach", instance_file, "--start", "0", "--target", "-1"]),
         (0, ["solve-cover", frozen, "--start", "0", "--target", "0"]),
         (2, ["solve-cover", frozen, "--start", "0", "--target", "0,1"]),
         (64, ["solve-cover", frozen, "--target", "0"]),
@@ -436,6 +449,8 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (2, ["brute-check", instance_file, "--start", "0", "--target", "2"]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", ""]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", ",2"]),
+        (64, ["brute-check", instance_file, "--start", "0", "--target", "2,2"]),
+        (64, ["brute-check", instance_file, "--start", "0", "--target", "1_0"]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", "",
               "--mode", "cover"]),
         (64, ["brute-check", instance_file, "--start", "0", "--target", "0",
@@ -466,9 +481,15 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         if expected == 64:
             assert proc.stdout == ""
         if "--target" in argv and argv[argv.index("--target") + 1] in (
-            "", ",", "0,,1", "0,1,", ",2"
+            "", ",", "0,,1", "0,1,", ",2", "0_1, 2,+1", "0_1", "+1", " 2", "\u0661", "1_0"
         ):
             assert "--target: expected one or more comma-separated state ids" in proc.stderr
+        if "--target" in argv and argv[argv.index("--target") + 1] in ("0,1,0", "2,2"):
+            assert "--target: expected distinct state ids" in proc.stderr
+        if argv[-2:] == ["--target", "-1"]:
+            assert proc.stderr == "error: state -1 out of range for 3 states\n"
+        if argv[-2:] == ["--init", "0,1,-1"]:
+            assert proc.stderr == "error: action -1 for state 2 out of range\n"
         if "--init" in argv and expected == 64:
             assert "--init: expected ';'-separated epochs" in proc.stderr
         if argv[-2:] == ["--init", ""]:
@@ -477,6 +498,56 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
             assert proc.stdout == ""
             assert "gamma_range at ()" in proc.stderr
     assert not os.path.exists(invalid)
+
+
+def test_main_parses_as_the_top_level_parser(instance_file):
+    # main's parse hands a command's arguments straight to its parser; the
+    # exit code, both streams and the namespace are those of parse_args.
+    from dmdp import cli
+
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                namespace, code = vars(parse(argv)), None
+            except SystemExit as exc:
+                namespace, code = None, exc.code
+        return code, out.getvalue(), err.getvalue(), namespace
+
+    target = ["--start", "0", "--target", "0,1"]
+    matrix = [
+        *REPLAYED_RUNS,
+        ["solve-reach", instance_file, *target],
+        ["solve-cover", instance_file, *target, "--node-budget", "7", "--strict"],
+        ["solve-reach", instance_file, "--start", "0"],
+        ["gen", "--seed", "1"],
+        ["solve-reach", instance_file, "--start", "x", "--target", "0"],
+        ["solve-reach", instance_file, *target, "--node-budget", "0"],
+        ["solve-reach", instance_file, "--start", "0", "--target", "0_1"],
+        ["validate", instance_file, "--sign-mode", "nope"],
+        ["solve-reach", instance_file, *target, "--bogus"],
+        ["solve-reach", instance_file, *target, "--bogus=1", "extra"],
+        ["value-star", instance_file, "extra"],
+        ["value-star", instance_file, "--", "extra"],
+        ["value-star", "--", instance_file],
+        ["solve-reach", instance_file, "--star", "0", "--target", "0"],
+        ["solve-reach", instance_file, *target, "--version"],
+        ["solve-reach", "-h"],
+        ["gen", "--help"],
+        ["--version"],
+        ["-h"],
+        [],
+        ["no-such-command", instance_file],
+        ["--", "value-star", instance_file],
+        ["--version", "value-star", instance_file],
+        ["--bogus", "value-star", instance_file],
+    ]
+    codes = set()
+    for argv in matrix:
+        got = outcome(cli._parse_args, argv)
+        assert got == outcome(cli.build_parser().parse_args, argv), argv
+        codes.add(got[0])
+    assert codes == {None, 0, 64}
 
 
 # ---------------------------------------------------------------------------

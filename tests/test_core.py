@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dmdp import (
     make_static_gap_instance,
     validate,
 )
-from dmdp.core import rule_actions
+from dmdp.core import STOCHASTIC_TOL, rule_actions
 
 
 def uniform_instance(num_states=2, num_actions=2, horizon=2, gamma=0.5, reward=None):
@@ -287,3 +288,83 @@ def test_validate_violations_on_broken_input_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "dd21f7fdb9d22f039196577398196e131af22603451e4a97b12113b37fefe4cf"
     )
+
+
+def _per_cell_violations(inst, sign_mode):
+    """validate's rules applied to one number at a time, in its order."""
+    violations = []
+    if not math.isfinite(inst.gamma):
+        violations.append(("non_finite", (), inst.gamma))
+    elif not 0.0 <= inst.gamma < 1.0:
+        violations.append(("gamma_range", (), inst.gamma))
+    if not math.isfinite(inst.r_max):
+        violations.append(("non_finite", (), inst.r_max))
+    elif inst.r_max < 0.0:
+        violations.append(("r_max_nonnegative", (), inst.r_max))
+    P, R = inst.transition, inst.reward
+    for s, a in itertools.product(range(inst.num_states), range(inst.num_actions)):
+        for sp in range(inst.num_states):
+            p = float(P[s, a, sp])
+            if not math.isfinite(p):
+                violations.append(("non_finite", (s, a, sp), p))
+            elif not 0.0 <= p <= 1.0:
+                violations.append(("transition_range", (s, a, sp), p))
+        with np.errstate(invalid="ignore"):
+            total = float(P[s, a].sum())
+        if abs(total - 1.0) > STOCHASTIC_TOL:
+            violations.append(("stochasticity", (s, a), total))
+    for cell in itertools.product(*map(range, R.shape)):
+        r = float(R[cell])
+        if not math.isfinite(r):
+            violations.append(("non_finite", cell, r))
+            continue
+        if abs(r) > inst.r_max:
+            violations.append(("reward_bound", cell, r))
+        if sign_mode == "nonpositive" and r > 0.0:
+            violations.append(("reward_sign", cell, r))
+    return violations
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_validate_accepts_on_reductions_exactly_when_no_cell_fails(diagonal):
+    # One number perturbed at a time, at the first and the last cell of each
+    # array.  The kernel moves each state to itself (its first and last
+    # cells are 1) or to the next state (they are 0); rewards are -0.5.
+    S, A, T, r_max = 3, 2, 2, 2.0
+    P = np.zeros((S, A, S))
+    for s, a in itertools.product(range(S), range(A)):
+        P[s, a, s if diagonal else (s + 1) % S] = 1.0
+    R = np.full((T, S, A), -0.5)
+    # A row summing to `close` is as far below one as a double can be
+    # within STOCHASTIC_TOL; one ulp less and the row is off by just over it.
+    close = 1.0 - math.floor(STOCHASTIC_TOL * 2**53) * 2**-53
+    assert 1.0 - close <= STOCHASTIC_TOL < 1.0 - (close - 2**-53)
+    tiny = 2**-52
+    cases = [(None, None, None)]
+    for index in ((0, 0, 0), (S - 1, A - 1, S - 1)):
+        for bad in (np.nan, np.inf, -np.inf, -1e-300, 1.0 + tiny, close, close - 2**-53):
+            cases.append(("transition", index, bad))
+    for index in ((0, 0, 0), (T - 1, S - 1, A - 1)):
+        for bad in (r_max, -r_max, r_max * (1 + tiny), -r_max * (1 + tiny), 0.0, -0.0,
+                    np.nan):
+            cases.append(("reward", index, bad))
+    cases += [("r_max", None, np.nan), ("r_max", None, -1.0), ("gamma", None, 1.0)]
+    outcomes = set()
+    for field, index, bad in cases:
+        fields = dict(num_states=S, num_actions=A, horizon=T, gamma=0.5, r_max=r_max,
+                      transition=P.copy(), reward=R.copy())
+        if index is not None:
+            fields[field][index] = bad
+        elif field is not None:
+            fields[field] = bad
+        inst = DmdpInstance(**fields)
+        for sign_mode in ("any", "nonpositive"):
+            report = validate(inst, sign_mode=sign_mode)
+            expected = _per_cell_violations(inst, sign_mode)
+            # repr tells -0.0 from 0.0 and lets NaN equal NaN.
+            assert [(rule, loc, repr(v)) for rule, loc, v in report.violations] == [
+                (rule, loc, repr(v)) for rule, loc, v in expected
+            ], (field, index, bad, sign_mode)
+            assert report.ok == (not expected)
+            outcomes.add(report.ok)
+    assert outcomes == {True, False}

@@ -92,6 +92,29 @@ def test_save_rewrites_a_longer_or_shorter_file_exactly(tmp_path):
         assert path.read_bytes() == dumps_instance(new).encode()
 
 
+def test_write_file_finishes_short_writes_and_fails_as_open(tmp_path, monkeypatch):
+    # Each os.write takes at most 3 bytes, so every chunk is written in parts.
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:3]))
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"x" * 100)
+    storage.write_file(path, (b"0123456789", b"", b"abcd"))
+    assert path.read_bytes() == b"0123456789abcd"
+    monkeypatch.undo()
+    fresh = tmp_path / "fresh.bin"
+    storage.write_file(fresh, (b"new",))
+    with open(tmp_path / "by-open.bin", "wb"):
+        pass
+    assert fresh.stat().st_mode == (tmp_path / "by-open.bin").stat().st_mode
+    for path in (tmp_path / "no-such-dir" / "x.json", tmp_path):
+        with pytest.raises(OSError) as by_open:
+            open(path, "wb")
+        with pytest.raises(OSError) as by_write_file:
+            storage.write_file(path, (b"new",))
+        assert type(by_write_file.value) is type(by_open.value)
+        assert str(by_write_file.value) == str(by_open.value)
+
+
 @pytest.mark.skipif(not os.path.exists(os.devnull)
                     or not stat.S_ISCHR(os.stat(os.devnull).st_mode),
                     reason="os.devnull is not a character device")
