@@ -41,10 +41,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-# A state id or an action: ASCII digits, with a '-' that leaves a negative
-# number to the range checks.  int() alone would also take '0_1', '+1',
-# ' 2' and non-ASCII digits.
+# An integer option, state id or action: ASCII digits, with a '-' that
+# leaves a negative number to the range checks.  int() alone would also
+# take '0_1', '+1', ' 2' and non-ASCII digits.
 _INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _parse_ints(text: str, sep: str) -> tuple[int, ...]:
@@ -81,10 +87,7 @@ def _parse_policy(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _parse_positive(text: str) -> int:
-    try:
-        number = int(text)
-    except ValueError:
-        number = 0
+    number = int(text) if _INTEGER.fullmatch(text) else 0
     if number < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return number
@@ -231,7 +234,7 @@ def _build_parsers():
             help=f"best-first search for the best {mode}ing policy",
         )
         p.add_argument("file")
-        p.add_argument("--start", type=int, required=True)
+        p.add_argument("--start", type=_parse_int, required=True)
         p.add_argument("--target", type=_parse_states, required=True,
                        help="comma-separated state ids")
         p.add_argument("--strict", action="store_true",
@@ -245,7 +248,7 @@ def _build_parsers():
 
     p = sub.add_parser("brute-check", help="exhaustive baseline for solve results")
     p.add_argument("file")
-    p.add_argument("--start", type=int, required=True)
+    p.add_argument("--start", type=_parse_int, required=True)
     p.add_argument("--target", type=_parse_states, required=True)
     p.add_argument("--mode", choices=["reach", "cover"], default="reach")
     p.add_argument("--max-len", type=_parse_positive, default=None)
@@ -253,10 +256,10 @@ def _build_parsers():
     p.set_defaults(func=_cmd_brute_check)
 
     p = sub.add_parser("gen", help="generate a reproducible random instance file")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--states", type=int, required=True)
-    p.add_argument("--actions", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--seed", type=_parse_int, required=True)
+    p.add_argument("--states", type=_parse_int, required=True)
+    p.add_argument("--actions", type=_parse_int, required=True)
+    p.add_argument("--horizon", type=_parse_int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_gen)

@@ -2,7 +2,14 @@
 
 The goal set of a policy from a start state is the support of the state
 distribution at the policy's final epoch — the set of states the policy
-can land in: the states whose mass is > 0.0.
+can land in.  It is structural: with succ = support_masks(transition),
+the (S, A) masks of each state-action pair's successors (entries > 0),
+the goal set starts as {start}, and each rule maps a set to the OR of
+succ[s, rule[s]] over its states s.  Floats never enter it, so it is
+exactly the states that positive-probability paths reach, even where
+such a path's computed mass underflows to 0.0.  Every state outside it
+has mass exactly 0.0, so the computed distribution's nonzero states lie
+inside it.
 
 `satisfies` is the goal constraint that the search, the oracles and
 target_unreachable share: reach wants the goal set inside the target,
@@ -11,6 +18,7 @@ cover around it.  `check_query` checks a query's start state and target.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +112,11 @@ def check_query(instance: DmdpInstance, start: int, target: GoalSet | None = Non
         raise ValueError("target goal set is over a different state space")
 
 
+@functools.cache
 def _state_bits(num_states: int) -> np.ndarray:
-    return np.left_shift(np.uint64(1), np.arange(num_states, dtype=np.uint64))
+    bits = np.left_shift(np.uint64(1), np.arange(num_states, dtype=np.uint64))
+    bits.flags.writeable = False
+    return bits
 
 
 def support_masks(dists: np.ndarray) -> np.ndarray:
@@ -116,9 +127,22 @@ def support_masks(dists: np.ndarray) -> np.ndarray:
 
 
 def support_of(dist: np.ndarray) -> GoalSet:
-    """States carrying any probability mass."""
+    """States whose computed mass is > 0.0.  For a policy's final
+    distribution this lies inside its goal set, and equals it unless a
+    path's mass underflows to 0.0."""
     dist = np.asarray(dist)
     return GoalSet(int(support_masks(dist)), dist.shape[0])
+
+
+def _child_masks(succ: np.ndarray, masks, actions) -> np.ndarray:
+    """Goal masks one rule later: for each mask in `masks` and each rule in
+    `actions`, an (R, S) array of action vectors, the OR of the successor
+    masks succ[s, rule[s]] over the states s in the mask.  Shape
+    masks.shape + (R,)."""
+    num_states = succ.shape[0]
+    taken = succ[np.arange(num_states), actions]
+    inside = (np.asarray(masks, dtype=np.uint64)[..., None, None] & _state_bits(num_states)) != 0
+    return np.bitwise_or.reduce(taken * inside, axis=-1)
 
 
 def target_unreachable(
@@ -130,7 +154,8 @@ def target_unreachable(
 ) -> bool:
     """Whether the kernel's structure proves that no policy of length
     1..horizon from start has a goal set inside target (reach) or around
-    it (cover), properly so when strict.  False gives no verdict.
+    it (cover), properly so when strict.  For reach the test is exact;
+    for cover, False gives no verdict.
 
     Goal sets do not depend on value, and a decision rule picks one action
     per state, so with supp P[s, a] the structural support (entries > 0):
@@ -139,15 +164,12 @@ def target_unreachable(
       after exactly k steps are G_k = {s : some supp P[s, a] lies inside
       G_{k-1}}.  A goal set is a proper subset of the target iff it lies
       inside the target less one of its members, so strict reach runs that
-      test once per member.  A state no positive-probability path reaches
-      gets only 0 * P terms, exact zeros, so a goal set is exactly the
-      states such paths reach, unless a path's mass underflows to 0.  That
-      cannot happen while min(positive P) ** horizon is a normal double;
-      below that there is no verdict.
+      test once per member.  Goal sets are these same structural
+      supports, so False means that some policy meets the constraint.
     cover: a goal set after k steps lies inside R_k, the states that some
       actions reach from start in exactly k steps, so the target must lie
       inside R_k (properly when strict) for some k.  This is a necessary
-      condition only, and needs no guard: underflow can only drop states.
+      condition only.
     """
     num_states, horizon = instance.num_states, instance.horizon
     structural = instance.transition > 0
@@ -160,9 +182,6 @@ def target_unreachable(
             if satisfies(int(reachable @ bits), target.mask, "cover", strict):
                 return False
         return True
-    # Above the smallest normal double, no product along a path can round to 0.
-    if float(instance.transition[structural].min()) ** horizon < np.finfo(np.float64).tiny:
-        return False
     in_target = np.array([s in target for s in range(num_states)])
     insides = [in_target & (states != t) for t in target.members()] if strict else [in_target]
     for goals in insides:
@@ -217,10 +236,18 @@ def propagate(
 
 
 def goal_set(instance: DmdpInstance, policy: TimeVaryingPolicy, start: int) -> GoalSet:
-    """Support of the final state distribution of a nonempty policy."""
+    """Support of the final state distribution of a nonempty policy: the
+    states its positive-probability paths from start reach, propagated
+    through the successor masks (see the module docstring)."""
     if policy.is_empty:
         raise ValueError("goal set requires a policy of length >= 1")
-    return support_of(propagate(instance, policy, start)[-1])
+    policy.check_against(instance)
+    check_query(instance, start)
+    succ = support_masks(instance.transition)
+    mask = 1 << start
+    for rule in policy.rules:
+        mask = _child_masks(succ, mask, [rule])[0]
+    return GoalSet(int(mask), instance.num_states)
 
 
 def concat_value_check(

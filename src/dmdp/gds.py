@@ -27,16 +27,20 @@ Before the first pop, a target that the kernel's structure alone proves
 unreachable (composition.target_unreachable) is answered without
 searching.
 
-Rules that differ only on states where a node's distribution has exactly
-zero mass give bit-identical children, so each such class of rules is
-expanded once, through its canonical member: the rule taking action 0 on
-every zero-mass state.  It is first of its class in rule order, and each
-skipped twin would pop after it (same value and depth, later path), so
-the returned policy, value and tie-breaks are those of expanding every
-rule.  A node's nonzero states are its goal set, so its A^|goal set|
-children come from its goal mask alone, never from all A^S rules; past
-RULE_ENUMERATION_CAP they raise EnumerationCapExceeded.  nodes_popped and
-nodes_pruned count canonical nodes only.
+A node's goal set is structural (see composition): the root's is
+{start}, and a child's mask is the OR of the successor masks
+succ[s, rule[s]] over the states s of its parent's mask, computed once
+per goal mask, beside that mask's rules, kernels and rewards.  A node's
+mass is exactly 0.0 outside its goal mask, so rules that differ only on
+those states give bit-identical child distributions and values, and the
+same child masks.  Each such class of rules is expanded once, through its
+canonical member: the rule taking action 0 on every state outside the
+mask.  It is first of its class in rule order, and each skipped twin
+would pop after it (same value and depth, later path), so the returned
+policy, value and tie-breaks are those of expanding every rule.  A node's
+A^|goal set| children come from its goal mask alone, never from all A^S
+rules; past RULE_ENUMERATION_CAP they raise EnumerationCapExceeded.
+nodes_popped and nodes_pruned count canonical nodes only.
 """
 
 from __future__ import annotations
@@ -51,10 +55,10 @@ import numpy as np
 from .bellman import _rule_kernel, _rule_rewards, evaluate_extensions
 from .composition import (
     GoalSet,
+    _child_masks,
     check_query,
     satisfies,
     support_masks,
-    support_of,
     target_unreachable,
 )
 from .core import (
@@ -66,9 +70,10 @@ from .core import (
     validate,
 )
 
-# The benchmark's tracer (perfbench/tracing.py) wraps this name on this
-# module, so it stays importable here though the search does not call it.
+# The benchmark's tracer (perfbench/tracing.py) wraps these names on this
+# module, so they stay importable here though the search does not call them.
 from .bellman import evaluate_policy  # noqa: F401
+from .composition import support_of  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -90,15 +95,15 @@ class QueueInvariantViolation(DmdpError):
     """Verify mode found a node value disagreeing with exact evaluation."""
 
 
-def _twins(instance: DmdpInstance, rows: list, zero: np.ndarray):
-    """Whether `rows` are every rule playing action 0 on the `zero` states,
-    once each and in rule order; and the kernels and reward rows of their
-    twins that play b on those states, one batch per action b != 0."""
+def _twins(instance: DmdpInstance, rows: list, outside: np.ndarray):
+    """Whether `rows` are every rule playing action 0 on the `outside`
+    states, once each and in rule order; and the kernels and reward rows of
+    their twins that play b on those states, one batch per action b != 0."""
     acts = np.array(rows)
-    complete = (len(rows) == instance.num_actions ** int((~zero).sum())
-                and not acts[:, zero].any() and rows == sorted(set(rows)))
-    twin_acts = np.repeat(acts[None], instance.num_actions - 1 if zero.any() else 0, axis=0)
-    twin_acts[:, :, zero] = np.arange(1, len(twin_acts) + 1)[:, None, None]
+    complete = (len(rows) == instance.num_actions ** int((~outside).sum())
+                and not acts[:, outside].any() and rows == sorted(set(rows)))
+    twin_acts = np.repeat(acts[None], instance.num_actions - 1 if outside.any() else 0, axis=0)
+    twin_acts[:, :, outside] = np.arange(1, len(twin_acts) + 1)[:, None, None]
     twin_acts = twin_acts.reshape(-1, instance.num_states)
     return complete, _rule_kernel(instance, twin_acts), _rule_rewards(instance, twin_acts)
 
@@ -129,10 +134,12 @@ class GdsConfig:
     their path up to the last rule, so one batched backward pass
     (bellman.evaluate_extensions) values them all, bit-equal to
     evaluate_policy on each.  Verify mode also searches targets proved
-    unreachable at the root, and checks that the drain finds nothing.  It
-    also re-derives each expansion's classes from exact zeros (dist == 0.0),
-    and checks that each expanded rule's twins, which play one action b != 0
-    on every zero-mass state, give children with bit-equal values and
+    unreachable at the root, and checks that the drain finds nothing.  At
+    each expansion it checks that the node's float-nonzero states lie
+    inside its goal mask, so that its mass is exactly 0.0 on the states
+    outside the mask, on which the classes are keyed; and that each
+    expanded rule's twins, which play one action b != 0 on every state
+    outside the mask, give children with bit-equal values and
     distributions.
     """
 
@@ -182,10 +189,12 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     S, A = instance.num_states, instance.num_actions
     mode, strict = config.mode, config.strict_subset
     # Per goal mask, filled on first use: the canonical rules, their
-    # kernels and their reward rows [epoch, rule], whose strided rows BLAS
+    # kernels, their reward rows [epoch, rule], whose strided rows BLAS
     # sums in another order than contiguous ones, so a copy would move last
-    # bits (the pinned-hash test in test_gds.py shows it); in verify mode,
-    # also the _twins tables.
+    # bits (the pinned-hash test in test_gds.py shows it), and their child
+    # masks; in verify mode, also the states outside the mask and the
+    # _twins tables.
+    succ = support_masks(instance.transition)
     expansions: dict[int, tuple] = {}
     twins: dict[int, tuple] = {}
 
@@ -202,7 +211,7 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
     # Max-value queue with deterministic ties: shallower first, then
     # lexicographic on the path (the policy's rules), which is rule
     # order.  Paths are distinct, so the order is total.
-    heap = [] if skip else [(-0.0, 0, (), support_of(root_dist).mask, root_dist)]
+    heap = [] if skip else [(-0.0, 0, (), 1 << config.start, root_dist)]
     # Per goal-set mask, the best child value of the first expanded node
     # that carries it; fixed from then on.
     records: dict[int, float] = {}
@@ -268,20 +277,21 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
                 raise EnumerationCapExceeded(required=required, cap=RULE_ENUMERATION_CAP)
             rows = list(itertools.product(*[range(A) if mask >> s & 1 else (0,)
                                             for s in range(S)]))
-            expansions[mask] = rows, _rule_kernel(instance, rows), _rule_rewards(instance, rows)
-        rows, kernels, rewards = expansions[mask]
+            expansions[mask] = (rows, _rule_kernel(instance, rows), _rule_rewards(instance, rows),
+                                _child_masks(succ, mask, rows).tolist())
+        rows, kernels, rewards, child_masks = expansions[mask]
         child_dists = dist @ kernels
         child_values = value + instance.gamma**depth * np.vecdot(rewards[depth], dist)
         if config.verify:
-            # Re-derive the classes from exact zeros, not from the mask.  Once
-            # they match it, the first node's tables for this mask hold.
-            zero = dist == 0.0
+            # The classes and their tables depend on the mask alone, once the
+            # node's mass outside the mask is exactly 0.0.
             if mask not in twins:
-                twins[mask] = _twins(instance, rows, zero)
-            complete, twin_kernels, twin_rewards = twins[mask]
+                outside = np.array([not mask >> s & 1 for s in range(S)])
+                twins[mask] = outside, *_twins(instance, rows, outside)
+            outside, complete, twin_kernels, twin_rewards = twins[mask]
             twin_values = value + instance.gamma**depth * np.vecdot(twin_rewards[depth], dist)
             copies = len(twin_kernels) // len(rows)
-            if not (complete and int(support_masks(~zero)) == mask
+            if not (complete and not dist[outside].any()
                     and (dist @ twin_kernels).tobytes() == child_dists.tobytes() * copies
                     and twin_values.tobytes() == child_values.tobytes() * copies):
                 raise QueueInvariantViolation(
@@ -289,7 +299,6 @@ def gds_search(instance: DmdpInstance, config: GdsConfig) -> GdsResult:
                     f"with bit-equal children at depth {depth}"
                 )
         child_values = child_values.tolist()
-        child_masks = support_masks(child_dists).tolist()
         # Verify mode's exact values come from one backward pass over the
         # instance alone: none of the arrays above may feed it.  Without
         # verify, the queued values fill the slot and go unchecked.

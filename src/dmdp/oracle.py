@@ -8,13 +8,14 @@ The oracles do not loop over policies one at a time.  They evaluate every
 policy of one length n together, in blocks of at most POLICY_BLOCK
 policies taken in enumeration order (shortest first, rules in
 lexicographic order within a length), so memory stays bounded whatever
-the budget allows.  A block's final distributions are built forward from
-the distribution its shared prefix reaches, one vector-matrix product per
-rule, and its values backward from the values of the shared suffixes by
-bellman.evaluate_extensions, one matrix-vector product per rule.
-goal_set and evaluate_policy compute the same products in the same order
-for a single policy, so every goal set and every value is bit-equal to
-theirs.  Ties keep the earliest policy in enumeration order.
+the budget allows.  A block's goal masks are built forward from the mask
+its shared prefix reaches, through the kernel's successor masks as
+composition.goal_set builds them, and its values backward from the
+values of the shared suffixes by bellman.evaluate_extensions, one
+matrix-vector product per rule.  evaluate_policy computes the same
+products in the same order for a single policy, so every value is
+bit-equal to its, and every goal set equals goal_set's.  Ties keep the
+earliest policy in enumeration order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bellman import _backup, _rule_kernel, _rule_rewards, evaluate_extensions
-from .composition import GoalSet, check_query, satisfies, support_masks
+from .composition import GoalSet, _child_masks, check_query, satisfies, support_masks
 from .core import (
     DmdpError,
     DmdpInstance,
@@ -96,6 +97,7 @@ def _blocks(
     """
     S, gamma = instance.num_states, instance.gamma
     R = instance.num_actions**S
+    succ = support_masks(instance.transition)
     m = 0
     while m < n - 1 and R ** (m + 1) <= POLICY_BLOCK:
         m += 1
@@ -109,16 +111,14 @@ def _blocks(
             tail = _backup(gamma, _rule_rewards(instance, every, t), kernels, tail)
     for p, prefix in enumerate(itertools.product(range(R), repeat=j)):
         prefix = rule_actions(instance, prefix)
-        dist = np.zeros(S)
-        dist[start] = 1.0
-        for kernel in _rule_kernel(instance, prefix):
-            dist = dist @ kernel
+        mask = 1 << start
+        for rule in prefix:
+            mask = _child_masks(succ, mask, rule[None])[0]
         for lo in range(0, R, width):
             run = rule_actions(instance, np.arange(lo, min(lo + width, R)))
-            dists = dist @ _rule_kernel(instance, run)
+            masks = _child_masks(succ, mask, run)
             for _ in range(m):
-                dists = (dists[:, None, None, :] @ kernels).reshape(-1, S)
-            masks = support_masks(dists)
+                masks = _child_masks(succ, masks, every).reshape(-1)
             values = evaluate_extensions(instance, prefix, run, tail)
             yield (p * R + lo) * R**m, masks, values
 

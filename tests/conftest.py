@@ -8,8 +8,9 @@ def sparse_instance(seed, num_states=3, num_actions=2, horizon=3, gamma=0.5):
     """Random instance whose kernel rows have random supports, so goal
     sets actually vary across policies (the packaged generator produces
     dense rows, where every goal set collapses to the full state set).
-    Every positive entry exceeds 0.2 / num_states, so no path's mass
-    underflows at the horizons the tests use."""
+    Every positive entry exceeds 0.2 / num_states, so at the horizons the
+    tests use no path's computed mass underflows, and a goal set is also
+    the set of states with computed mass > 0."""
     rng = np.random.default_rng(seed)
     transition = np.zeros((num_states, num_actions, num_states))
     for s in range(num_states):

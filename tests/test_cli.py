@@ -384,6 +384,14 @@ def test_brute_check_respects_max_len(instance_file):
     assert len(result["policy"]) == 1
 
 
+# The integer options, and spellings that int() would take but they refuse.
+INTEGER_OPTIONS = {
+    **dict.fromkeys(("--start", "--seed", "--states", "--actions", "--horizon"), "an integer"),
+    **dict.fromkeys(("--node-budget", "--budget", "--max-len"), "a positive integer"),
+}
+LOOSE_INTEGERS = ("0_0", "+0", " 0", "\u0660", "1_000", "+7", "\u0662", "\u0663", "0_2", "+2", " 2")
+
+
 def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
     gap = str(tmp_path / "gap.json")
     save(make_static_gap_instance(), gap)
@@ -441,6 +449,15 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (64, ["solve-reach", instance_file, "--start", "0", "--target", "\u0661"]),
         (64, ["solve-reach", instance_file, "--start", "0", "--target", "0,1,0"]),
         (1, ["solve-reach", instance_file, "--start", "0", "--target", "-1"]),
+        (1, ["solve-reach", instance_file, "--start", "-1", "--target", "0"]),
+        (64, ["solve-reach", instance_file, "--start", "0_0", "--target", "0"]),
+        (64, ["solve-reach", instance_file, "--start", "+0", "--target", "0"]),
+        (64, ["solve-reach", instance_file, "--start", " 0", "--target", "0"]),
+        (64, ["solve-reach", instance_file, "--start", "\u0660", "--target", "0"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", "0",
+              "--node-budget", "1_000"]),
+        (64, ["solve-reach", instance_file, "--start", "0", "--target", "0",
+              "--node-budget", "+7"]),
         (0, ["solve-cover", frozen, "--start", "0", "--target", "0"]),
         (2, ["solve-cover", frozen, "--start", "0", "--target", "0,1"]),
         (64, ["solve-cover", frozen, "--target", "0"]),
@@ -461,6 +478,11 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
               "--max-len", "0"]),
         (1, ["brute-check", instance_file, "--start", "0", "--target", "0",
              "--max-len", "4"]),
+        (64, ["brute-check", instance_file, "--start", "0_0", "--target", "0"]),
+        (64, ["brute-check", instance_file, "--start", "0", "--target", "0",
+              "--budget", "1_000"]),
+        (64, ["brute-check", instance_file, "--start", "0", "--target", "0",
+              "--max-len", "\u0662"]),
         (0, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
              "--horizon", "2", "--gamma", "0.5", "-o", out]),
         (1, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
@@ -469,6 +491,14 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (1, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
              "--horizon", "2", "--gamma", "1.5", "-o", invalid]),
         (64, ["gen", "--seed", "1"]),
+        (64, ["gen", "--seed", "\u0663", "--states", "2", "--actions", "2",
+              "--horizon", "2", "--gamma", "0.5", "-o", out]),
+        (64, ["gen", "--seed", "1", "--states", "0_2", "--actions", "2",
+              "--horizon", "2", "--gamma", "0.5", "-o", out]),
+        (64, ["gen", "--seed", "1", "--states", "2", "--actions", "+2",
+              "--horizon", "2", "--gamma", "0.5", "-o", out]),
+        (64, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
+              "--horizon", " 2", "--gamma", "0.5", "-o", out]),
         (0, ["demo-static-gap"]),
         (1, ["demo-static-gap", "--gamma", "2"]),
         (64, ["demo-static-gap", "--gamma", "not-a-number"]),
@@ -488,6 +518,12 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
             assert "--target: expected distinct state ids" in proc.stderr
         if argv[-2:] == ["--target", "-1"]:
             assert proc.stderr == "error: state -1 out of range for 3 states\n"
+        if argv[2:4] == ["--start", "-1"]:
+            assert proc.stderr == "error: start state -1 out of range\n"
+        for option, kind in INTEGER_OPTIONS.items():
+            spelling = argv[argv.index(option) + 1] if option in argv else None
+            if spelling in LOOSE_INTEGERS:
+                assert f"argument {option}: expected {kind}, got {spelling!r}" in proc.stderr
         if argv[-2:] == ["--init", "0,1,-1"]:
             assert proc.stderr == "error: action -1 for state 2 out of range\n"
         if "--init" in argv and expected == 64:

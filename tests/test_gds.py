@@ -26,8 +26,9 @@ from dmdp import (
     generate,
     goal_set,
 )
-from dmdp import composition, gds
-from dmdp.composition import target_unreachable
+from dmdp import composition, gds, save
+from dmdp.cli import main
+from dmdp.composition import satisfies, target_unreachable
 from dmdp.core import RULE_ENUMERATION_CAP
 
 
@@ -437,7 +438,7 @@ def leaky_chain_instance(p):
     """State 0 moves to state 1, or to state 2 with probability p; state 2
     moves to state 1, or to state 3 with probability p; states 1 and 3
     absorb.  Every two-step policy from state 0 puts mass p * p on state 3,
-    which is 0 when it underflows."""
+    whose computed value is 0 when it underflows."""
     P = np.zeros((4, 2, 4))
     P[0, :] = [0.0, 1 - p, p, 0.0]
     P[2, :] = [0.0, 1 - p, 0.0, p]
@@ -450,28 +451,73 @@ def leaky_chain_instance(p):
     )
 
 
-def test_root_verdict_is_withheld_where_a_path_mass_can_underflow():
+# p * p underflows to 0 at 1e-170 and 1e-200.  sqrt(tiny) is 2 ** -511, so
+# one ulp below it p * p is subnormal, and one ulp above it is normal.
+_SQRT_TINY = np.sqrt(np.finfo(np.float64).tiny)
+UNDERFLOW_PS = [1e-170, 1e-200, np.nextafter(_SQRT_TINY, 0.0), np.nextafter(_SQRT_TINY, 1.0)]
+
+
+def test_root_verdict_holds_where_a_path_mass_underflows(tmp_path, capsys):
+    # State 3 is structurally reachable in two steps whatever p * p
+    # computes to, so no policy ends inside {1}: every solver says so.
     target = GoalSet.from_states([1], 4)
-    tiny = np.finfo(np.float64).tiny
-    # 1e-200 ** 2 underflows, so a two-step policy ends inside {1} though
-    # state 3 is structurally reachable: a verdict would be wrong.
-    inst = leaky_chain_instance(1e-200)
-    assert not target_unreachable(inst, 0, target)
-    best = brute_force_reach(inst, 0, target, inst.horizon)
-    for verify in (False, True):
-        result = gds_search(inst, GdsConfig(start=0, target=target, verify=verify))
-        assert result.found and result.policy == best.policy and result.value == best.value
-    # sqrt(tiny) is 2 ** -511: one ulp below it min P ** horizon is
-    # subnormal and gets no verdict; one ulp above it is normal and gets
-    # the exact one.  Both targets are unreachable.
-    below, above = (np.nextafter(np.sqrt(tiny), side) for side in (0.0, 1.0))
-    assert below**2 < tiny <= above**2
-    for p, verdict in ((below, False), (above, True)):
+    assert UNDERFLOW_PS[2] ** 2 < _SQRT_TINY**2 <= UNDERFLOW_PS[3] ** 2
+    for i, p in enumerate(UNDERFLOW_PS):
         inst = leaky_chain_instance(p)
-        assert target_unreachable(inst, 0, target) == verdict
+        assert target_unreachable(inst, 0, target)
         assert brute_force_reach(inst, 0, target, inst.horizon) is None
-        drained = gds_search(inst, GdsConfig(start=0, target=target, verify=True))
-        assert not drained.found and drained.nodes_popped > 0
+        for verify in (False, True):
+            result = gds_search(inst, GdsConfig(start=0, target=target, verify=verify))
+            # Verify mode drains all 1 + 2 + 2 * 4 nodes.
+            assert not result.found and result.nodes_popped == (11 if verify else 0)
+        path = tmp_path / f"chain-{i}.json"
+        save(inst, path)
+        assert main(["solve-reach", str(path), "--start", "0", "--target", "1"]) == 2
+        assert json.loads(capsys.readouterr().out)["result"]["found"] is False
+
+
+@pytest.mark.parametrize("p", UNDERFLOW_PS)
+def test_search_oracles_and_root_verdict_agree_where_path_masses_underflow(p):
+    # Every nonempty target of the leaky chain, both modes, strict and not,
+    # verify on and off.  The reference is one goal_set and evaluate_policy
+    # per policy; brute force must match it where it applies (not strict).
+    inst = leaky_chain_instance(p)
+    outcomes = [
+        (float(evaluate_policy(inst, policy).values[0, 0]),
+         frozenset(goal_set(inst, policy, 0).members()))
+        for policy in enumerate_policies(inst, inst.horizon)
+    ]
+    # The two-step goal sets hold state 3, though its computed mass is 0
+    # for the first two values of p.
+    assert {goal for _, goal in outcomes} == {frozenset([1, 2]), frozenset([1, 3])}
+    for n in (1, 2, 3, 4):
+        for members in itertools.combinations(range(4), n):
+            target = GoalSet.from_states(members, 4)
+            for mode, strict in itertools.product(("reach", "cover"), (False, True)):
+                best = _best(outcomes, set(members), mode, strict)
+                if target_unreachable(inst, 0, target, mode, strict):
+                    assert best is None
+                elif mode == "reach":
+                    assert best is not None
+                if not strict:
+                    brute = (brute_force_reach if mode == "reach" else brute_force_cover)(
+                        inst, 0, target, inst.horizon)
+                    assert (None if brute is None else brute.value) == best
+                    if brute is not None:
+                        goal = goal_set(inst, brute.policy, 0)
+                        assert brute.goal == goal and satisfies(goal.mask, target.mask, mode)
+                for verify in (False, True):
+                    result = gds_search(inst, GdsConfig(
+                        start=0, target=target, mode=mode, strict_subset=strict, verify=verify
+                    ))
+                    assert result.found == (best is not None)
+                    if result.found:
+                        assert abs(result.value - best) <= 1e-12
+                        if not strict:
+                            assert (result.policy, result.value) == (brute.policy, brute.value)
+                        goal = goal_set(inst, result.policy, 0)
+                        assert result.goal == goal
+                        assert satisfies(goal.mask, target.mask, mode, strict)
 
 
 def tiny_mass_instance():
@@ -521,14 +567,17 @@ def test_root_expands_one_rule_per_action_at_the_start():
 
 
 def masks_above_1e_12(dists):
-    """A mutant of support_masks that drops mass at or below 1e-12."""
+    """A mutant of support_masks that drops entries at or below 1e-12.  The
+    search builds its successor masks with it, so they miss the 1e-13
+    transitions below."""
     return composition.support_masks(np.where(np.asarray(dists) > 1e-12, dists, 0.0))
 
 
 def test_verify_mode_catches_a_collapse_on_the_support_threshold(monkeypatch):
-    # Goal masks that drop mass at or below 1e-12 would select rules by
-    # that threshold instead of exact zero, skip state 1's free action at
-    # epoch 1 and return a worse policy.
+    # Successor masks that drop transitions at or below 1e-12 give goal
+    # masks without state 1, which hold mass 1e-13 there: the search would
+    # select rules by that threshold instead of the structural support,
+    # skip state 1's free action at epoch 1 and return a worse policy.
     inst = tiny_mass_instance()
     target = GoalSet.from_states([3], 4)
     best = brute_force_reach(inst, 0, target, inst.horizon)
@@ -542,10 +591,11 @@ def test_verify_mode_catches_a_collapse_on_the_support_threshold(monkeypatch):
 def test_verify_mode_catches_a_goal_mask_off_the_exact_zeros(monkeypatch):
     # From state 0, action 1 (cheaper) sends everything to state 2 and
     # action 0 leaks 1e-13 onto state 1; states 1-3 then move to state 3
-    # whatever they play.  Under the mutant both children of the root
-    # have goal mask {2}, and the second reuses the first's expansion: its
-    # children are bit-equal anyway, so only the goal mask, checked
-    # against the exact zeros, shows that the classes are wrong.
+    # whatever they play.  Under the mutant's successor masks both children
+    # of the root have goal mask {2}, and the second reuses the first's
+    # expansion: its children are bit-equal anyway, so only the check that
+    # its mass outside the goal mask is exactly 0.0 shows that the classes
+    # are wrong.
     P = np.zeros((4, 2, 4))
     P[0, 0] = [0.0, 1e-13, 1 - 1e-13, 0.0]
     P[0, 1] = [0.0, 0.0, 1.0, 0.0]
