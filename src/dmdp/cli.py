@@ -93,6 +93,19 @@ def _parse_positive(text: str) -> int:
     return number
 
 
+# A --gamma: an optional '-', ASCII digits with an optional fraction, and an
+# optional exponent, as the report's config echoes it (say, 1e-05).
+# float() alone would also take '0_5', '+0.5', ' 0.5', non-ASCII digits,
+# 'nan' and 'inf'.
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def _parse_gamma(text: str) -> float:
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}")
+    return float(text)
+
+
 def _answer(best) -> dict:
     """The answer fields of a solve or brute-check report, from a search or
     oracle result, or from None when no policy meets the goal constraint."""
@@ -257,10 +270,10 @@ def _build_parsers():
 
     p = sub.add_parser("gen", help="generate a reproducible random instance file")
     p.add_argument("--seed", type=_parse_int, required=True)
-    p.add_argument("--states", type=_parse_int, required=True)
-    p.add_argument("--actions", type=_parse_int, required=True)
-    p.add_argument("--horizon", type=_parse_int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--states", type=_parse_positive, required=True)
+    p.add_argument("--actions", type=_parse_positive, required=True)
+    p.add_argument("--horizon", type=_parse_positive, required=True)
+    p.add_argument("--gamma", type=_parse_gamma, required=True)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -268,7 +281,7 @@ def _build_parsers():
         "demo-static-gap",
         help="show time-varying policies beating every static one",
     )
-    p.add_argument("--gamma", type=float, default=1.0 - 1e-9)
+    p.add_argument("--gamma", type=_parse_gamma, default=1.0 - 1e-9)
     p.set_defaults(func=_cmd_demo_static_gap)
 
     return parser, sub.choices

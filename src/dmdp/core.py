@@ -30,7 +30,7 @@ class DmdpError(Exception):
 
 class EnumerationCapExceeded(DmdpError):
     """Enumerating decision rules, all |A|^|S| of them or one search node's
-    |A|^|nonzero states|, would exceed the configured cap."""
+    |A|^|goal set|, would exceed the configured cap."""
 
     def __init__(self, required: int, cap: int):
         self.required = required
@@ -197,11 +197,11 @@ def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> Valid
     ):
         return ValidationReport(())
 
-    # Each rule is one mask; violations come out of np.flatnonzero over
-    # masks stacked along a last axis, so C order reproduces the per-cell
-    # order: a row's entries, then its stochasticity; a reward cell's
-    # non_finite alone, else its bound, then its sign.
-    S, A = instance.num_states, instance.num_actions
+    # Each rule is one mask; violations come out of np.argwhere over masks
+    # stacked along a last axis, so C order reproduces the per-cell order:
+    # a row's entries, then its stochasticity; a reward cell's non_finite
+    # alone, else its bound, then its sign.
+    S = instance.num_states
     finite = np.isfinite(P)
     checks = np.concatenate(
         [
@@ -210,9 +210,7 @@ def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> Valid
         ],
         axis=2,
     )
-    for i in np.flatnonzero(checks).tolist():
-        s, rest = divmod(i, A * (S + 1))
-        a, sp = divmod(rest, S + 1)
+    for s, a, sp in np.argwhere(checks).tolist():
         if sp == S:
             violations.append(("stochasticity", (s, a), float(totals[s, a])))
         else:
@@ -230,10 +228,7 @@ def validate(instance: DmdpInstance, sign_mode: SignMode | None = None) -> Valid
         ],
         axis=3,
     )
-    for i in np.flatnonzero(checks).tolist():
-        cell, rule = divmod(i, 3)
-        t, rest = divmod(cell, S * A)
-        s, a = divmod(rest, A)
+    for t, s, a, rule in np.argwhere(checks).tolist():
         violations.append((rules[rule], (t, s, a), float(R[t, s, a])))
 
     return ValidationReport(tuple(violations))

@@ -5,8 +5,7 @@ through a small deterministic serializer that renders every float with 17
 significant digits (enough to reproduce any double exactly on reload), so
 identical instances always produce identical bytes — which is also what
 makes content digests and golden-report comparisons meaningful.  A
-float64 array is written with the bytes its nested lists would give, and
-nested lists of floats of equal lengths are written as that array.
+float64 array is written with the bytes its nested lists would give.
 Arrays of at least KERNEL_MIN_SIZE entries are written KERNEL_BLOCK
 entries at a time, as rows of little-endian uint64 words, one per entry:
 the text before it, from a table by the depth of the container it opens
@@ -342,24 +341,6 @@ def _ints(items) -> bool:
     return set(map(type, items)) <= {int}
 
 
-def _float_array(value: list | tuple) -> np.ndarray | None:
-    """value as a float64 array when it nests lists and tuples of equal
-    lengths, none empty, down to leaves that are all floats; else None."""
-    shape, level = [], [value]
-    while (types := set(map(type, level))) <= {list, tuple}:
-        lengths = set(map(len, level))
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        shape.append(lengths.pop())
-        level = list(itertools.chain.from_iterable(level))
-    if types != {float}:
-        return None
-    try:
-        return np.array(level, np.float64).reshape(shape)
-    except ValueError:  # more dimensions than a numpy array holds
-        return None
-
-
 def _text(value: Any, pad: str) -> str:
     """The JSON text of value, whose container lines are indented by pad."""
     if isinstance(value, (float, np.floating)):
@@ -380,13 +361,11 @@ def _text(value: Any, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         brackets = "[]"
         # Lists of ints, and lists of them such as a policy's rules, skip
-        # the dispatch, and nested lists of floats take the array writer.
+        # the dispatch.
         if _ints(value):
             items = list(map(str, value))
         elif all(type(row) in (list, tuple) and _ints(row) for row in value):
             items = [_wrap(list(map(str, row)), inner, "[]") for row in value]
-        elif (array := _float_array(value)) is not None:
-            return _text(array, pad)
         else:
             items = [_text(item, inner) for item in value]
     elif isinstance(value, dict):

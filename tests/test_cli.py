@@ -386,10 +386,13 @@ def test_brute_check_respects_max_len(instance_file):
 
 # The integer options, and spellings that int() would take but they refuse.
 INTEGER_OPTIONS = {
-    **dict.fromkeys(("--start", "--seed", "--states", "--actions", "--horizon"), "an integer"),
-    **dict.fromkeys(("--node-budget", "--budget", "--max-len"), "a positive integer"),
+    **dict.fromkeys(("--start", "--seed"), "an integer"),
+    **dict.fromkeys(("--node-budget", "--budget", "--max-len", "--states", "--actions",
+                     "--horizon"), "a positive integer"),
 }
 LOOSE_INTEGERS = ("0_0", "+0", " 0", "\u0660", "1_000", "+7", "\u0662", "\u0663", "0_2", "+2", " 2")
+# Spellings of gamma that float() would take but --gamma refuses.
+LOOSE_GAMMAS = ("0_5", "+0.5", " 0.5", "\u0660.\u0665", "nan", "inf")
 
 
 def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
@@ -499,9 +502,21 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
               "--horizon", "2", "--gamma", "0.5", "-o", out]),
         (64, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
               "--horizon", " 2", "--gamma", "0.5", "-o", out]),
+        *[(64, ["gen", "--seed", "1", *sizes, "--gamma", "0.5", "-o", out])
+          for sizes in (["--states", "-1", "--actions", "2", "--horizon", "2"],
+                        ["--states", "0", "--actions", "2", "--horizon", "2"],
+                        ["--states", "2", "--actions", "0", "--horizon", "2"],
+                        ["--states", "2", "--actions", "2", "--horizon", "-3"])],
+        *[(64, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
+                "--horizon", "2", "--gamma", gamma, "-o", out]) for gamma in LOOSE_GAMMAS],
+        (1, ["gen", "--seed", "1", "--states", "2", "--actions", "2",
+             "--horizon", "2", "--gamma", "-0.5", "-o", invalid]),
         (0, ["demo-static-gap"]),
+        (0, ["demo-static-gap", "--gamma", "1e-05"]),
         (1, ["demo-static-gap", "--gamma", "2"]),
+        (1, ["demo-static-gap", "--gamma", "1E+3"]),
         (64, ["demo-static-gap", "--gamma", "not-a-number"]),
+        *[(64, ["demo-static-gap", "--gamma", gamma]) for gamma in LOOSE_GAMMAS],
     ]
     for expected, argv in matrix:
         proc = run_cli(*argv)
@@ -522,7 +537,8 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
             assert proc.stderr == "error: start state -1 out of range\n"
         for option, kind in INTEGER_OPTIONS.items():
             spelling = argv[argv.index(option) + 1] if option in argv else None
-            if spelling in LOOSE_INTEGERS:
+            if spelling in LOOSE_INTEGERS or (kind == "a positive integer"
+                                              and spelling in ("-1", "0", "-3")):
                 assert f"argument {option}: expected {kind}, got {spelling!r}" in proc.stderr
         if argv[-2:] == ["--init", "0,1,-1"]:
             assert proc.stderr == "error: action -1 for state 2 out of range\n"
@@ -530,9 +546,14 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
             assert "--init: expected ';'-separated epochs" in proc.stderr
         if argv[-2:] == ["--init", ""]:
             assert report_of(proc)["config"]["init"] == []
-        if "--gamma" in argv and argv[argv.index("--gamma") + 1] in ("1.5", "2"):
+        gamma = argv[argv.index("--gamma") + 1] if "--gamma" in argv else None
+        if gamma in ("1.5", "2", "1E+3", "-0.5"):
             assert proc.stdout == ""
-            assert "gamma_range at ()" in proc.stderr
+            assert f"gamma_range at (): {float(gamma)}" in proc.stderr
+        if gamma in LOOSE_GAMMAS + ("not-a-number",):
+            assert f"argument --gamma: expected a decimal number, got {gamma!r}" in proc.stderr
+        if gamma == "1e-05":
+            assert report_of(proc)["result"]["gamma"] == 1e-05
     assert not os.path.exists(invalid)
 
 

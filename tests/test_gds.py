@@ -672,6 +672,34 @@ def test_every_prune_is_justified_by_set_semantics(sparse_sweep):
                                ("cover", False): 21, ("cover", True): 4}
 
 
+# The non-strict queries of the 3x2x4 gamma-0.1 family, (seed, start, mode,
+# target), on which the search, through unsound epsilon pruning, returns a
+# policy that brute force beats.  A sound search empties this set; no
+# change may grow it.
+KNOWN_WRONG = {
+    (0, 2, "reach", (1, 2)),
+    (1, 0, "reach", (2,)),
+    (1, 0, "reach", (1, 2)),
+    *((1, 0, "cover", target) for target in ((1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))),
+}
+
+
+def test_search_is_wrong_exactly_on_the_known_queries():
+    oracles = {"reach": brute_force_reach, "cover": brute_force_cover}
+    wrong = set()
+    for seed in range(4):
+        inst = sparse_instance(seed, 3, 2, 4, 0.1)
+        for start, members, mode in itertools.product(range(3), EVERY_TARGET, oracles):
+            target = GoalSet.from_states(list(members), 3)
+            result = gds_search(inst, GdsConfig(start=start, target=target, mode=mode))
+            best = oracles[mode](inst, start, target, inst.horizon)
+            assert result.found == (best is not None)
+            if result.found and abs(result.value - best.value) > 1e-9:
+                assert result.value < best.value
+                wrong.add((seed, start, mode, tuple(sorted(members))))
+    assert wrong == KNOWN_WRONG
+
+
 # ---------------------------------------------------------------------------
 # strictness switch
 
@@ -714,7 +742,7 @@ def test_node_budget_exhaustion_raises():
 
 def test_narrow_nodes_are_searchable_when_the_rule_table_is_not():
     # 3^8 = 6,561 rules exceed the cap, but these searches only expand
-    # nodes with at most 7 nonzero states, so no node needs that many.
+    # nodes whose goal sets hold at most 7 states, so no node needs that many.
     inst = sparse_instance(2, 8, 3, 4, 0.3)
     assert inst.num_actions**inst.num_states > RULE_ENUMERATION_CAP
     for start, states in ((0, range(8)), (2, range(4)), (7, range(4, 8))):
@@ -731,7 +759,7 @@ def test_narrow_nodes_are_searchable_when_the_rule_table_is_not():
 
 
 def test_a_wide_node_raises_before_its_children_are_built():
-    # Dense kernels: every node below the root has all 8 states nonzero.
+    # Dense kernels: every node below the root has all 8 states in its goal set.
     # The root verdict proves reach {0} absent; verify mode searches past
     # it, so it reaches the first wide node.
     inst = generate(1, 8, 3, 12, 0.5)
