@@ -13,9 +13,11 @@ the text before it, from a table by the depth of the container it opens
 its exact 17 digits for 1e-4 <= |x| < 1e16 (Dekker's error-free product
 with an exact power of ten gives them); a block's text is its rows
 without their NULs.  Zeros, entries outside that window and smaller
-arrays take one _format_float call each.  Instance files are assembled as
-bytes, the header from dumps_json.  save() returns the sha256 of the
-bytes it wrote, which is digest() of the instance.
+arrays take one _format_float call each.  An instance's canonical text is
+one bytes value (_document_bytes): the header from dumps_json, then each
+array's blocks, then the closing _END that the reader also checks.  save()
+writes it as one chunk.  save(), digest() and read() each return the
+sha256 of those bytes, which for a file save() wrote are the file's own.
 
 Every file dmdp writes, instance files and search traces, goes through
 write_file(), which rewrites a file in place through one descriptor,
@@ -39,7 +41,10 @@ token byte for byte (after at most one step to a neighbouring double).
 The header must be the writer's too.  Any other file, and files with
 fewer than KERNEL_MIN_SIZE array entries, are parsed whole by json.loads
 and serialized again for the digest, with the same values, digest and
-errors either way.
+errors either way.  The parse rejects a repeated key, which json.loads
+alone would read as its last value, and metadata nested more than
+METADATA_MAX_DEPTH levels deep, so that dumps_json can write back every
+instance it reads.
 
 The generator uses a self-contained xorshift64* PRNG seeded per (kind,
 state, action) stream through a splitmix64-style mixer, so instances are
@@ -78,6 +83,10 @@ _REQUIRED_KEYS = (
     "reward",
 )
 _OPTIONAL_KEYS = ("metadata",)
+# The most keys and indices from metadata down to one of its entries.
+# json.loads reads about 990 levels, but dumps_json recurses once per level
+# and runs out of stack near 450 under the default recursion limit.
+METADATA_MAX_DEPTH = 100
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -390,7 +399,8 @@ def dumps_json(value: Any) -> str:
 
 
 def instance_document(instance: DmdpInstance) -> dict:
-    """The canonical JSON document for an instance (ordered key set)."""
+    """The canonical JSON document for an instance, in key order, less its
+    two arrays, which follow it as "transition" and "reward"."""
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "num_states": instance.num_states,
@@ -402,46 +412,36 @@ def instance_document(instance: DmdpInstance) -> dict:
     }
     if instance.metadata:
         doc["metadata"] = instance.metadata
-    doc["transition"] = instance.transition
-    doc["reward"] = instance.reward
     return doc
 
 
 # The canonical text is the header, _TRANSITION, its array, _REWARD, its
-# array and "\n}".
+# array and _END.
 _TRANSITION = b',\n  "transition": '
 _REWARD = b',\n  "reward": '
+_END = b"\n}\n"
 
 
 def _header_bytes(instance: DmdpInstance) -> bytes:
-    """dumps_json of the instance document without its arrays, less "\n}"."""
-    header = instance_document(instance)
-    del header["transition"], header["reward"]
-    return dumps_json(header)[:-2].encode()
+    """dumps_json of the instance document, less its closing "\n}"."""
+    return dumps_json(instance_document(instance))[:-2].encode()
 
 
 def _document_bytes(instance: DmdpInstance) -> bytes:
-    """The bytes of the canonical text, without its final newline.  The
-    text is ASCII, as json.dumps escapes everything else."""
+    """The bytes of the canonical text.  The text is ASCII, as json.dumps
+    escapes everything else."""
     parts = [_header_bytes(instance), _TRANSITION, *_array_chunks(instance.transition, "  ")]
-    parts += [_REWARD, *_array_chunks(instance.reward, "  "), b"\n}"]
+    parts += [_REWARD, *_array_chunks(instance.reward, "  "), _END]
     return b"".join(parts)
 
 
 def dumps_instance(instance: DmdpInstance) -> str:
-    return _document_bytes(instance).decode("ascii") + "\n"
-
-
-def _file_digest(document: bytes) -> str:
-    """sha256 hex digest of document followed by the final newline."""
-    h = hashlib.sha256(document)
-    h.update(b"\n")
-    return h.hexdigest()
+    return _document_bytes(instance).decode("ascii")
 
 
 def digest(instance: DmdpInstance) -> str:
     """sha256 hex digest of the canonical serialization."""
-    return _file_digest(_document_bytes(instance))
+    return hashlib.sha256(_document_bytes(instance)).hexdigest()
 
 
 def _entries(value: Any):
@@ -531,8 +531,13 @@ def _document_instance(doc: Any, array) -> DmdpInstance:
     if not isinstance(metadata, dict):
         raise InstanceFormatError("key 'metadata' must be an object")
     # json.loads reads NaN, Infinity and 1e999 as floats that no canonical
-    # file can spell.
+    # file can spell, and nests deeper than dumps_json writes back.
     for path, entry in _entries(metadata):
+        if len(path) > METADATA_MAX_DEPTH:
+            raise InstanceFormatError(
+                f"key 'metadata' entry {path} is nested more than "
+                f"{METADATA_MAX_DEPTH} levels deep"
+            )
         if isinstance(entry, float) and not math.isfinite(entry):
             raise InstanceFormatError(
                 f"key 'metadata' entry {path} must be a finite number, got {entry!r}"
@@ -560,11 +565,24 @@ def _validated(instance: DmdpInstance, check: bool) -> DmdpInstance:
     return instance
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The object json.loads read as pairs, which must not repeat a key:
+    json.loads alone keeps the last value of a repeated key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InstanceFormatError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def parse_instance(text: str, check: bool = True) -> DmdpInstance:
     """Parse instance JSON; with check=True the result must validate
     under its declared sign_mode or InstanceValidationError is raised."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise InstanceFormatError(
             f"parse error at line {e.lineno} column {e.colno}: {e.msg}"
@@ -586,7 +604,6 @@ def parse_instance(text: str, check: bool = True) -> DmdpInstance:
 # significant digits round-trip, so json.loads would have read that same
 # double.  Any other file goes to parse_instance.
 
-_END = b"\n}\n"
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
 
 _ROW = 24  # bytes a token is scanned in: "-0.000", 17 digits and one more
@@ -836,8 +853,8 @@ def save(instance: DmdpInstance, path) -> str:
     # Serialize before opening, so that a value the writer rejects leaves
     # an existing file as it was and creates no new one.
     document = _document_bytes(instance)
-    write_file(path, (document, b"\n"))
-    return _file_digest(document)
+    write_file(path, (document,))
+    return hashlib.sha256(document).hexdigest()
 
 
 # ---------------------------------------------------------------------------

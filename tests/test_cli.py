@@ -226,6 +226,22 @@ def test_ragged_arrays_and_non_finite_metadata_exit_1_with_their_location(tmp_pa
     assert proc.stderr == (
         "error: key 'metadata' entry ['runs', 1] must be a finite number, got nan\n"
     )
+    # Metadata that dumps_json cannot write back, in a file parsed whole and
+    # in one whose arrays take the canonical reader, and a repeated key.
+    deep = "[" * 600 + "]" * 600
+    for command, shape in (("validate", (1, 3, 2, 3, 0.5)), ("value-star", (1, 16, 2, 8, 0.5))):
+        path.write_text(dumps_instance(generate(*shape)).replace('"seed": 1', f'"seed": {deep}'))
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            f"error: key 'metadata' entry {['seed'] + [0] * 100} is nested more than"
+            " 100 levels deep\n"
+        )
+    text = dumps_instance(generate(7, 2, 2, 2, 0.5))
+    path.write_text(text.replace('"gamma": 0.5,', '"gamma": 0.5,\n  "gamma": 0.25,'))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: repeated key 'gamma'\n"
 
 
 def test_trace_file_records_the_search(instance_file, tmp_path):
@@ -521,6 +537,8 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
     for expected, argv in matrix:
         proc = run_cli(*argv)
         assert proc.returncode == expected, (argv, proc.returncode, proc.stderr)
+        # An uncaught exception also exits 1.
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
         if expected in (0, 2):
             assert report_of(proc)["command"] == argv[0]
         if expected == 64:

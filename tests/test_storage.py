@@ -788,6 +788,74 @@ def test_non_finite_metadata_is_rejected_with_its_path(literal, shown):
     )
 
 
+def _nested(levels):
+    """1.5 inside levels one-element lists."""
+    leaf = 1.5
+    for _ in range(levels):
+        leaf = [leaf]
+    return leaf
+
+
+# A 3x2x3 file is parsed whole; a 16x2x8 file's arrays take the canonical reader.
+READER_SHAPES = [(1, 3, 2, 3, 0.5), (1, 16, 2, 8, 0.5)]
+
+
+@pytest.mark.parametrize("shape", READER_SHAPES, ids=str)
+def test_metadata_nested_past_the_bound_is_rejected_with_its_path(tmp_path, shape):
+    # 600 levels: json.loads reads them, and dumps_json runs out of stack.
+    text = dumps_instance(generate(*shape)).replace(
+        '"seed": 1', '"seed": 1, "deep": ' + "[" * 600 + "]" * 600
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert storage._canonical_instance(path.read_bytes()) is None
+    with pytest.raises(InstanceFormatError) as exc:
+        read(path)
+    depth = storage.METADATA_MAX_DEPTH
+    assert str(exc.value) == (
+        f"key 'metadata' entry {['deep'] + [0] * depth} is nested more than {depth} levels deep"
+    )
+
+
+@pytest.mark.parametrize("shape", READER_SHAPES, ids=str)
+def test_metadata_nested_to_the_bound_reads_and_saves_back(tmp_path, shape):
+    depth = storage.METADATA_MAX_DEPTH
+    inst = dataclasses.replace(generate(*shape), metadata={"deep": _nested(depth - 1)})
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    saved = save(inst, first)
+    canonical = storage._canonical_instance(first.read_bytes())
+    assert (canonical is None) == (shape == READER_SHAPES[0])
+    back, back_digest = read(first)
+    assert back.metadata == inst.metadata and back_digest == saved
+    assert save(back, second) == saved
+    assert second.read_bytes() == first.read_bytes()
+    # one level more is written, and rejected on reading
+    save(dataclasses.replace(inst, metadata={"deep": _nested(depth)}), first)
+    with pytest.raises(InstanceFormatError, match=f"more than {depth} levels deep"):
+        read(first)
+
+
+@pytest.mark.parametrize("shape", READER_SHAPES, ids=str)
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"gamma": 0.5,', '"gamma": 0.5,\n  "gamma": 0.25,', "gamma"),
+        ('"seed": 1', '"seed": 1, "name": "other"', "name"),
+        ('"seed": 1', '"seed": 1, "runs": [{"score": 1, "score": 2}]', "score"),
+        ('\n  "transition"', '\n  "metadata": {},\n  "transition"', "metadata"),
+    ],
+    ids=["header", "metadata", "nested metadata", "metadata twice"],
+)
+def test_repeated_keys_are_rejected(tmp_path, shape, old, new, key):
+    text = dumps_instance(generate(*shape))
+    assert old in text
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(InstanceFormatError) as exc:
+        read(path)
+    assert str(exc.value) == f"repeated key {key!r}"
+
+
 # ---------------------------------------------------------------------------
 # read: canonical files take the array reader, every other file parse_instance
 
