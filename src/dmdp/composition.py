@@ -11,6 +11,10 @@ such a path's computed mass underflows to 0.0.  Every state outside it
 has mass exactly 0.0, so the computed distribution's nonzero states lie
 inside it.
 
+A goal set over S states is a bitmask, bit s for state s.  Arrays of
+masks are uint64 up to 64 states and Python ints (dtype object) past
+that, as _state_bits picks; every mask function runs unchanged on either.
+
 `satisfies` is the goal constraint that the search, the oracles and
 target_unreachable share: reach wants the goal set inside the target,
 cover around it.  `check_query` checks a query's start state and target.
@@ -26,10 +30,6 @@ import numpy as np
 from .bellman import evaluate_policy, _rule_kernel
 from .core import DmdpInstance, TimeVaryingPolicy
 
-# States are packed into an int bitmask; beyond this width the encoding
-# (and exhaustive goal-set reasoning generally) stops being sensible.
-MAX_MASK_STATES = 64
-
 
 @dataclass(frozen=True)
 class GoalSet:
@@ -39,10 +39,8 @@ class GoalSet:
     num_states: int
 
     def __post_init__(self):
-        if not 1 <= self.num_states <= MAX_MASK_STATES:
-            raise ValueError(
-                f"goal sets support 1..{MAX_MASK_STATES} states, got {self.num_states}"
-            )
+        if self.num_states < 1:
+            raise ValueError(f"goal sets need at least 1 state, got {self.num_states}")
         if not 0 <= self.mask < (1 << self.num_states):
             raise ValueError(f"mask {self.mask:#x} out of range for {self.num_states} states")
 
@@ -92,14 +90,14 @@ class GoalSet:
 
 def includes(inner, outer, strict: bool = False):
     """Whether state bitmask inner is a subset of outer, a proper one when
-    strict.  On ints, or elementwise on uint64 masks."""
+    strict.  On ints, or elementwise on arrays of masks."""
     return ((inner & ~outer) == 0) & ((inner != outer) | (not strict))
 
 
 def satisfies(goal, target, mode: str, strict: bool = False):
     """Whether goal set `goal` meets `target` under the search's goal
     constraint: inside it for reach, around it for cover, properly so when
-    strict.  On int masks, or elementwise on uint64 masks."""
+    strict.  On int masks, or elementwise on arrays of masks."""
     return includes(goal, target, strict) if mode == "reach" else includes(target, goal, strict)
 
 
@@ -114,14 +112,16 @@ def check_query(instance: DmdpInstance, start: int, target: GoalSet | None = Non
 
 @functools.cache
 def _state_bits(num_states: int) -> np.ndarray:
-    bits = np.left_shift(np.uint64(1), np.arange(num_states, dtype=np.uint64))
+    """The mask of each state, 1 << s, in the mask type for num_states."""
+    bits = np.array([1 << s for s in range(num_states)],
+                    dtype=np.uint64 if num_states <= 64 else object)
     bits.flags.writeable = False
     return bits
 
 
 def support_masks(dists: np.ndarray) -> np.ndarray:
-    """Bitmask (uint64) of the states carrying any mass, for each
-    distribution along the last axis."""
+    """Bitmask of the states carrying any mass, for each distribution
+    along the last axis, in the mask type _state_bits picks."""
     dists = np.asarray(dists)
     return (dists > 0.0) @ _state_bits(dists.shape[-1])
 
@@ -138,10 +138,10 @@ def _child_masks(succ: np.ndarray, masks, actions) -> np.ndarray:
     """Goal masks one rule later: for each mask in `masks` and each rule in
     `actions`, an (R, S) array of action vectors, the OR of the successor
     masks succ[s, rule[s]] over the states s in the mask.  Shape
-    masks.shape + (R,)."""
+    masks.shape + (R,), in succ's mask type."""
     num_states = succ.shape[0]
     taken = succ[np.arange(num_states), actions]
-    inside = (np.asarray(masks, dtype=np.uint64)[..., None, None] & _state_bits(num_states)) != 0
+    inside = (np.asarray(masks, dtype=succ.dtype)[..., None, None] & _state_bits(num_states)) != 0
     return np.bitwise_or.reduce(taken * inside, axis=-1)
 
 

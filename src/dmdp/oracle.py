@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bellman import _backup, _rule_kernel, _rule_rewards, evaluate_extensions
-from .composition import GoalSet, _child_masks, check_query, satisfies, support_masks
+from .composition import GoalSet, _child_masks, _state_bits, check_query, satisfies, support_masks
 from .core import (
     DmdpError,
     DmdpInstance,
@@ -146,7 +146,7 @@ def _brute_force(
 ) -> BruteForceResult | None:
     check_query(instance, start, target)
     _check_budget(instance, max_len, budget)
-    target_mask = np.uint64(target.mask)
+    target_mask = np.asarray(target.mask, dtype=_state_bits(instance.num_states).dtype)
     best = None
     for n in range(1, max_len + 1):
         for first, masks, values in _blocks(instance, n, start):

@@ -44,7 +44,8 @@ and serialized again for the digest, with the same values, digest and
 errors either way.  The parse rejects a repeated key, which json.loads
 alone would read as its last value, and metadata nested more than
 METADATA_MAX_DEPTH levels deep, so that dumps_json can write back every
-instance it reads.
+instance it reads.  The writer rejects such metadata by the same rule,
+so that save writes only files that read reads back.
 
 The generator uses a self-contained xorshift64* PRNG seeded per (kind,
 state, action) stream through a splitmix64-style mixer, so instances are
@@ -411,6 +412,7 @@ def instance_document(instance: DmdpInstance) -> dict:
         "sign_mode": instance.sign_mode,
     }
     if instance.metadata:
+        _check_metadata(instance.metadata)
         doc["metadata"] = instance.metadata
     return doc
 
@@ -460,6 +462,29 @@ def _entries(value: Any):
         stack.extend((path + [k], item) for k, item in reversed(items))
 
 
+def _check_metadata(metadata: dict) -> None:
+    """Raise InstanceFormatError, naming its key path, at the first entry
+    of metadata in document order that no canonical file holds: an object
+    with a repeated key, a float that is not finite (json.loads reads NaN,
+    Infinity and 1e999), or an entry nested more than METADATA_MAX_DEPTH
+    levels deep.  The reader and the writer share this rule, so that save
+    writes only what read reads back."""
+    for path, entry in _entries(metadata):
+        if isinstance(entry, _RepeatedKey):
+            raise InstanceFormatError(
+                f"key 'metadata' entry {path + [entry.key]} is a repeated key"
+            )
+        if len(path) > METADATA_MAX_DEPTH:
+            raise InstanceFormatError(
+                f"key 'metadata' entry {path} is nested more than "
+                f"{METADATA_MAX_DEPTH} levels deep"
+            )
+        if isinstance(entry, float) and not math.isfinite(entry):
+            raise InstanceFormatError(
+                f"key 'metadata' entry {path} must be a finite number, got {entry!r}"
+            )
+
+
 def _locate_bad_entry(key: str, value: Any, shape: tuple[int, ...]) -> None:
     """Raise InstanceFormatError at the first entry of doc[key] == value, in
     C order, that is not a JSON number or breaks the nesting of shape."""
@@ -506,6 +531,8 @@ def _document_instance(doc: Any, array) -> DmdpInstance:
     arrays made by array(key, declared shape)."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level value must be an object")
+    if isinstance(doc, _RepeatedKey):
+        raise InstanceFormatError(f"repeated key {doc.key!r}")
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise InstanceFormatError(f"missing required key {key!r}")
@@ -530,18 +557,7 @@ def _document_instance(doc: Any, array) -> DmdpInstance:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise InstanceFormatError("key 'metadata' must be an object")
-    # json.loads reads NaN, Infinity and 1e999 as floats that no canonical
-    # file can spell, and nests deeper than dumps_json writes back.
-    for path, entry in _entries(metadata):
-        if len(path) > METADATA_MAX_DEPTH:
-            raise InstanceFormatError(
-                f"key 'metadata' entry {path} is nested more than "
-                f"{METADATA_MAX_DEPTH} levels deep"
-            )
-        if isinstance(entry, float) and not math.isfinite(entry):
-            raise InstanceFormatError(
-                f"key 'metadata' entry {path} must be a finite number, got {entry!r}"
-            )
+    _check_metadata(metadata)
     S, A, T = doc["num_states"], doc["num_actions"], doc["horizon"]
     try:
         return DmdpInstance(
@@ -565,15 +581,24 @@ def _validated(instance: DmdpInstance, check: bool) -> DmdpInstance:
     return instance
 
 
+class _RepeatedKey(dict):
+    """An object json.loads read with a repeated key, the first of which is
+    .key; it holds the last value of each key, as json.loads alone would."""
+
+    def __init__(self, pairs: list[tuple[str, Any]], key: str):
+        super().__init__(pairs)
+        self.key = key
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """The object json.loads read as pairs, which must not repeat a key:
-    json.loads alone keeps the last value of a repeated key."""
+    """The object json.loads read as pairs, as a _RepeatedKey if it repeats
+    a key, which the walk over the document then rejects with its path."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise InstanceFormatError(f"repeated key {key!r}")
+                return _RepeatedKey(pairs, key)
             seen.add(key)
     return doc
 

@@ -18,7 +18,7 @@ from dmdp import (
     propagate,
     truncate,
 )
-from dmdp.composition import satisfies
+from dmdp.composition import _child_masks, _state_bits, satisfies, support_masks
 
 
 def random_policy(instance, rng, length):
@@ -70,9 +70,21 @@ def test_goal_set_bounds():
     with pytest.raises(ValueError):
         GoalSet.from_states([4], num_states=4)
     with pytest.raises(ValueError):
-        GoalSet(0, num_states=65)
+        GoalSet(0, num_states=0)
+    assert GoalSet(0, num_states=65).is_empty
     with pytest.raises(ValueError):
         GoalSet.from_states([0], 2).issubset(GoalSet.from_states([0], 3))
+
+
+def test_masks_are_uint64_words_up_to_64_states_and_python_ints_past_that():
+    for num_states, dtype in ((64, np.uint64), (65, object)):
+        assert _state_bits(num_states).dtype == dtype
+        dists = np.eye(num_states)[[0, -1]]
+        masks = support_masks(dists)
+        assert masks.dtype == dtype and masks.tolist() == [1, 1 << (num_states - 1)]
+        succ = support_masks(np.eye(num_states)[:, None, ::-1])
+        assert _child_masks(succ, masks, np.zeros((1, num_states), int)).tolist() == [
+            [1 << (num_states - 1)], [1]]
 
 
 def test_satisfies_matches_set_semantics():

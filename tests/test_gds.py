@@ -17,6 +17,7 @@ from dmdp import (
     InstanceValidationError,
     NodeBudgetExceeded,
     QueueInvariantViolation,
+    TimeVaryingPolicy,
     brute_force_cover,
     brute_force_reach,
     enumerate_policies,
@@ -25,6 +26,9 @@ from dmdp import (
     gds_search,
     generate,
     goal_set,
+    propagate,
+    realizable_goal_sets,
+    support_of,
 )
 from dmdp import composition, gds, save
 from dmdp.cli import main
@@ -518,6 +522,105 @@ def test_search_oracles_and_root_verdict_agree_where_path_masses_underflow(p):
                         goal = goal_set(inst, result.policy, 0)
                         assert result.goal == goal
                         assert satisfies(goal.mask, target.mask, mode, strict)
+
+
+# ---------------------------------------------------------------------------
+# Goal sets past 64 states: masks are Python ints, on the same code path
+
+
+def padded(inst, num_states, labels=None):
+    """inst with its states relabelled (kept by default) among num_states
+    states; every other state absorbs under each action, at reward 0."""
+    A = inst.num_actions
+    labels = np.arange(inst.num_states) if labels is None else np.asarray(labels)
+    P = np.zeros((num_states, A, num_states))
+    P[np.arange(num_states), :, np.arange(num_states)] = 1.0
+    P[labels] = 0.0
+    P[np.ix_(labels, range(A), labels)] = inst.transition
+    reward = np.zeros((inst.horizon, num_states, A))
+    reward[:, labels] = inst.reward
+    return dataclasses.replace(inst, num_states=num_states, transition=P, reward=reward)
+
+
+@pytest.mark.parametrize("num_states", [4, 80])
+def test_support_of_is_the_goal_set_less_what_underflows(num_states):
+    # The float support of the chain's final distribution loses state 3
+    # where p * p underflows to 0, and is the goal set everywhere else.  At
+    # 80 states the chain's states 1 and 3 are relabelled 70 and 79.
+    labels = [0, 1, 2, 3] if num_states == 4 else [0, 70, 2, 79]
+    underflows = 0
+    for p in UNDERFLOW_PS + [0.25]:
+        inst = padded(leaky_chain_instance(p), num_states, labels)
+        policy = TimeVaryingPolicy.from_actions(np.zeros((2, num_states), dtype=int))
+        support = support_of(propagate(inst, policy, 0)[-1])
+        goal = goal_set(inst, policy, 0)
+        assert goal.members() == (labels[1], labels[3])
+        if p * p == 0.0:
+            underflows += 1
+            assert support.members() == (labels[1],) and support.is_proper_subset(goal)
+        else:
+            assert support == goal
+    assert underflows == 2
+
+
+@pytest.mark.parametrize("num_states", [70, 200])
+def test_padded_search_gives_the_answer_of_its_three_states(num_states):
+    # The absorbing states that pad a 3-state instance are never reached
+    # from states 0-2, so every search keeps its answer, its counters and
+    # its policy on states 0-2, with action 0 on the padding.
+    searches = pruned = 0
+    for seed in (0, 1):
+        small = sparse_instance(seed, 3, 2, 4, 0.1)
+        wide = padded(small, num_states)
+        for start, k in itertools.product(range(3), (1, 2, 3)):
+            for members, mode, verify in itertools.product(
+                itertools.combinations(range(3), k), ("reach", "cover"), (False, True)
+            ):
+                expected, result = (
+                    gds_search(inst, GdsConfig(
+                        start=start, target=GoalSet.from_states(members, inst.num_states),
+                        mode=mode, verify=verify))
+                    for inst in (small, wide)
+                )
+                searches += 1
+                pruned += expected.nodes_pruned
+                assert (result.found, result.value, result.nodes_popped, result.nodes_pruned) == (
+                    expected.found, expected.value, expected.nodes_popped, expected.nodes_pruned)
+                if expected.found:
+                    assert result.goal.members() == expected.goal.members()
+                    assert result.policy.rules == tuple(
+                        rule + (0,) * (num_states - 3) for rule in expected.policy.rules)
+    assert searches == 168 and pruned > 0
+
+
+def test_wide_one_action_search_equals_brute_force():
+    # One action over 70 states: state 0 splits between states 1 and 65,
+    # which move on to state 2 and to states 66 and 69; every other state
+    # absorbs.  Goal sets hold states on both sides of bit 64.
+    rng = np.random.default_rng(5)
+    P = np.zeros((70, 1, 70))
+    P[np.arange(70), 0, np.arange(70)] = 1.0
+    P[[0, 1, 65]] = 0.0
+    P[0, 0, [1, 65]] = [0.25, 0.75]
+    P[1, 0, 2] = 1.0
+    P[65, 0, [66, 69]] = [0.5, 0.5]
+    inst = DmdpInstance(
+        num_states=70, num_actions=1, horizon=3, gamma=0.5, r_max=1.0,
+        transition=P, reward=-rng.uniform(0.0, 1.0, (3, 70, 1)), sign_mode="nonpositive",
+    )
+    assert realizable_goal_sets(inst, 0, 3) == (
+        GoalSet.from_states([1, 65], 70), GoalSet.from_states([2, 66, 69], 70))
+    found = 0
+    for members in ([1, 65], [2, 66, 69], [2, 5, 66, 69], [1], [65], [66], [2, 69]):
+        target = GoalSet.from_states(members, 70)
+        for mode, brute in (("reach", brute_force_reach), ("cover", brute_force_cover)):
+            expected = brute(inst, 0, target, inst.horizon)
+            result = gds_search(inst, GdsConfig(start=0, target=target, mode=mode, verify=True))
+            assert result.found == (expected is not None)
+            if expected is not None:
+                found += 1
+                assert (result.policy, result.value, result.goal) == expected
+    assert found == 9
 
 
 def tiny_mass_instance():

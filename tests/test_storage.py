@@ -829,31 +829,71 @@ def test_metadata_nested_to_the_bound_reads_and_saves_back(tmp_path, shape):
     assert back.metadata == inst.metadata and back_digest == saved
     assert save(back, second) == saved
     assert second.read_bytes() == first.read_bytes()
-    # one level more is written, and rejected on reading
-    save(dataclasses.replace(inst, metadata={"deep": _nested(depth)}), first)
+    # one level more is refused by the writer, which leaves the file as it
+    # was, and by the reader
+    with pytest.raises(InstanceFormatError, match=f"more than {depth} levels deep"):
+        save(dataclasses.replace(inst, metadata={"deep": _nested(depth)}), first)
+    assert first.read_bytes() == second.read_bytes()
+    text = first.read_text()
+    assert text.count("1.5") == 1
+    first.write_text(text.replace("1.5", "[1.5]"))
     with pytest.raises(InstanceFormatError, match=f"more than {depth} levels deep"):
         read(first)
 
 
+@pytest.mark.parametrize(
+    "metadata, message",
+    [
+        ({"deep": _nested(600)},
+         f"key 'metadata' entry {['deep'] + [0] * 100} is nested more than 100 levels deep"),
+        ({"runs": [{"score": math.nan}]},
+         "key 'metadata' entry ['runs', 0, 'score'] must be a finite number, got nan"),
+    ],
+    ids=["600 levels", "nan"],
+)
+def test_writer_refuses_metadata_that_the_reader_refuses(tmp_path, metadata, message):
+    # validate does not look at metadata; the writer's rule is the reader's.
+    inst = dataclasses.replace(generate(1, 3, 2, 3, 0.5), metadata=metadata)
+    assert validate(inst).ok
+    path = tmp_path / "refused.json"
+    for write in (digest, dumps_instance, lambda instance: save(instance, path)):
+        with pytest.raises(InstanceFormatError) as exc:
+            write(inst)
+        assert str(exc.value) == message
+    assert not path.exists()
+    # 100 levels, the reader's bound, still write and read back
+    inst = dataclasses.replace(inst, metadata={"deep": _nested(99)})
+    saved = save(inst, path)
+    back, back_digest = read(path)
+    assert back.metadata == inst.metadata and back_digest == saved == digest(inst)
+
+
 @pytest.mark.parametrize("shape", READER_SHAPES, ids=str)
 @pytest.mark.parametrize(
-    "old, new, key",
+    "old, new, message",
     [
-        ('"gamma": 0.5,', '"gamma": 0.5,\n  "gamma": 0.25,', "gamma"),
-        ('"seed": 1', '"seed": 1, "name": "other"', "name"),
-        ('"seed": 1', '"seed": 1, "runs": [{"score": 1, "score": 2}]', "score"),
-        ('\n  "transition"', '\n  "metadata": {},\n  "transition"', "metadata"),
+        ('"gamma": 0.5,', '"gamma": 0.5,\n  "gamma": 0.25,', "repeated key 'gamma'"),
+        ('"seed": 1', '"seed": 1, "name": "other"',
+         "key 'metadata' entry ['name'] is a repeated key"),
+        ('"seed": 1', '"seed": 1, "runs": [{"score": 1, "score": 2}]',
+         "key 'metadata' entry ['runs', 0, 'score'] is a repeated key"),
+        ('\n  "transition"', '\n  "metadata": {},\n  "transition"', "repeated key 'metadata'"),
     ],
     ids=["header", "metadata", "nested metadata", "metadata twice"],
 )
-def test_repeated_keys_are_rejected(tmp_path, shape, old, new, key):
+def test_repeated_keys_are_rejected(tmp_path, shape, old, new, message):
+    # A top-level key is its own path; a key inside metadata is named by its
+    # path.  Neither size of file is canonical, so read gives the parser's
+    # error either way.
     text = dumps_instance(generate(*shape))
     assert old in text
     path = tmp_path / "repeated.json"
     path.write_text(text.replace(old, new, 1))
-    with pytest.raises(InstanceFormatError) as exc:
-        read(path)
-    assert str(exc.value) == f"repeated key {key!r}"
+    assert storage._canonical_instance(path.read_bytes()) is None
+    for parse in (read, lambda path: parse_instance(path.read_text())):
+        with pytest.raises(InstanceFormatError) as exc:
+            parse(path)
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +1047,31 @@ def test_small_files_keep_the_parser(tmp_path, monkeypatch):
     # the same file is canonical, and read below the crossover by the kernel
     monkeypatch.setattr(storage, "KERNEL_MIN_SIZE", 0)
     assert _assert_read_as_parsed(path, monkeypatch)
+
+
+def test_array_short_of_newlines_is_read_by_the_parser(tmp_path, monkeypatch):
+    # 8x2x12 holds 320 array entries.  With its reward on one line, the file
+    # has fewer newlines after the reward's start than the reward has
+    # entries, so _read_array gives it up on that count alone.
+    inst = generate(1, 8, 2, 12, 0.5)
+    text = dumps_instance(inst)
+    path = tmp_path / "one-line.json"
+    path.write_text(text[: text.index('"reward": ')] + '"reward": '
+                    + json.dumps(inst.reward.tolist()) + "\n}\n")
+    calls = []
+    read_array = storage._read_array
+
+    def spy(data, newlines, start, shape, pad):
+        calls.append((shape, data.count(b"\n", start), read_array(data, newlines, start, shape, pad)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(storage, "_read_array", spy)
+    assert not _assert_read_as_parsed(path, monkeypatch)
+    shape, newlines, result = calls[-1]
+    assert shape == inst.reward.shape and newlines < inst.reward.size and result is None
+    back, back_digest = read(path)
+    assert back_digest == digest(inst)
+    assert np.array_equal(back.reward, inst.reward) and np.array_equal(back.transition, inst.transition)
 
 
 def _token_edits():
