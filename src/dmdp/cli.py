@@ -335,6 +335,3 @@ def main(argv=None) -> int:
         return 1
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -392,7 +392,10 @@ def _text(value: Any, pad: str) -> str:
 def dumps_json(value: Any) -> str:
     """Serialize to JSON deterministically: insertion-ordered keys,
     17-significant-digit floats, 2-space indentation."""
-    return _text(value, "")
+    try:
+        return _text(value, "")
+    except RecursionError:
+        raise ValueError("value is nested too deeply to serialize") from None
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def _report(name: str, ok: bool, detail: str):
 
 def _run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "dmdp.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "dmdp", *args], capture_output=True, text=True
     )
 
 

@@ -476,8 +476,9 @@ def test_root_verdict_holds_where_a_path_mass_underflows(tmp_path, capsys):
             assert not result.found and result.nodes_popped == (11 if verify else 0)
         path = tmp_path / f"chain-{i}.json"
         save(inst, path)
-        assert main(["solve-reach", str(path), "--start", "0", "--target", "1"]) == 2
-        assert json.loads(capsys.readouterr().out)["result"]["found"] is False
+        for command in ("solve-reach", "brute-check"):
+            assert main([command, str(path), "--start", "0", "--target", "1"]) == 2
+            assert json.loads(capsys.readouterr().out)["result"]["found"] is False
 
 
 @pytest.mark.parametrize("p", UNDERFLOW_PS)

@@ -308,8 +308,14 @@ def _sha256(text: str) -> str:
         ),
     ],
 )
-def test_instance_text_is_pinned(shape, expected):
-    assert _sha256(dumps_instance(generate(*shape))) == expected
+def test_instance_text_is_pinned(shape, expected, tmp_path):
+    instance = generate(*shape)
+    assert _sha256(dumps_instance(instance)) == expected
+    # save reports the pin as the file's digest, and the file reads back.
+    path = tmp_path / "pinned.json"
+    assert save(instance, path) == expected
+    back, back_digest = read(path)
+    assert back_digest == expected and digest(back) == expected
 
 
 @pytest.mark.parametrize("shape", [(5, 3, 2, 4, 0.5), (6, 10, 3, 4, 0.5)], ids=str)
@@ -364,6 +370,8 @@ def test_dumps_json_text_of_every_accepted_type_is_pinned():
         object(),
         [1, {"deep": [object()]}],
         {1.5, 2.5},
+        # 1.5 in 600 nested lists: the writer runs out of stack
+        functools.reduce(lambda leaf, _: [leaf], range(600), 1.5),
     ],
 )
 def test_dumps_json_rejects_what_it_cannot_spell(value):
