@@ -186,11 +186,15 @@ def target_unreachable(
     insides = [in_target & (states != t) for t in target.members()] if strict else [in_target]
     for goals in insides:
         for _ in range(horizon):
-            # Some action keeps every successor of s inside goals.
-            goals = ~(structural @ ~goals).all(axis=1)
+            goals = _stays_inside(structural, goals).any(axis=1)
             if goals[start]:
                 return False
     return True
+
+
+def _stays_inside(structural: np.ndarray, goals: np.ndarray) -> np.ndarray:
+    """(S, A): whether every structural successor of (s, a) lies in goals."""
+    return ~(structural @ ~goals)
 
 
 def concat(

@@ -16,6 +16,9 @@ matrix-vector product per rule.  evaluate_policy computes the same
 products in the same order for a single policy, so every value is
 bit-equal to its, and every goal set equals goal_set's.  Ties keep the
 earliest policy in enumeration order.
+
+exact_reach answers reach queries by constrained backward induction, with
+no enumeration: the value bits and length of brute_force_reach's policy.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bellman import _backup, _rule_kernel, _rule_rewards, evaluate_extensions
-from .composition import GoalSet, _child_masks, _state_bits, check_query, satisfies, support_masks
+from .bellman import _backup, _q, _rule_kernel, _rule_rewards, evaluate_extensions
+from .composition import GoalSet, _child_masks, _state_bits, _stays_inside, check_query
+from .composition import satisfies, support_masks
 from .core import (
     DmdpError,
     DmdpInstance,
@@ -187,6 +191,38 @@ def brute_force_cover(
 ) -> BruteForceResult | None:
     """Best policy whose goal set contains the target, or None."""
     return _brute_force(instance, start, target, max_len, budget, "cover")
+
+
+def exact_reach(instance: DmdpInstance, start: int, target: GoalSet, max_len: int,
+                strict: bool = False) -> tuple[float, int] | None:
+    """(value, length) of the best policy of length 1..max_len from start
+    whose goal set lies inside target (properly when strict), ties going to
+    the shortest; None when no policy reaches it.
+
+    A length-n policy ends inside G_0 (the target, or under strict the
+    target less one member) exactly when each state it reaches at epoch t
+    plays an action whose successors lie in the backward set G_(n-t-1).  The
+    values maximize the lookahead over those actions (-inf where there is
+    none), against the next row zeroed outside its set: no 0 * -inf forms.
+    """
+    check_query(instance, start, target)
+    if not 1 <= max_len <= instance.horizon:
+        raise ValueError(f"max_len must be in 1..{instance.horizon}, got {max_len}")
+    structural = instance.transition > 0
+    states = np.arange(instance.num_states)
+    in_target = np.isin(states, target.members())
+    insides = [in_target & (states != m) for m in target.members()] if strict else [in_target]
+    best = None
+    for n in range(1, max_len + 1):
+        for goals in insides:
+            values = np.zeros(instance.num_states)
+            for t in reversed(range(n)):
+                allowed = _stays_inside(structural, goals)
+                q = _q(instance, np.where(goals, values, 0.0), t)
+                values, goals = np.where(allowed, q, -np.inf).max(axis=1), allowed.any(axis=1)
+            if goals[start] and (best is None or values[start] > best[0]):
+                best = (float(values[start]), n)
+    return best
 
 
 def brute_force_optimal_value(

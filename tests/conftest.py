@@ -1,7 +1,34 @@
+import contextlib
+import io
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from dmdp import DmdpError, DmdpInstance, digest, generate, load, read
+from dmdp import DmdpError, DmdpInstance, cli, digest, generate, load, read
+
+
+def run_cli(*args, spawn=False):
+    """Run `dmdp *args` and return its exit code and both streams as a
+    subprocess.CompletedProcess.
+
+    The CLI runs in this process: cli.main with stdout and stderr
+    redirected, and argparse's SystemExit read by the interpreter's rule
+    (None is 0, an int is itself).  An uncaught exception propagates and
+    fails the test.  spawn=True runs `python -m dmdp` in a new process
+    instead, for the tests whose subject is the process boundary.
+    """
+    if spawn:
+        return subprocess.run([sys.executable, "-m", "dmdp", *args],
+                              capture_output=True, text=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
 
 
 def sparse_instance(seed, num_states=3, num_actions=2, horizon=3, gamma=0.5):

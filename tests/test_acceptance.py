@@ -6,12 +6,11 @@ the contract and are asserted, not just reported.
 """
 
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
 
+from conftest import run_cli
 from dmdp import (
     GdsConfig,
     GoalSet,
@@ -43,12 +42,6 @@ def _report(name: str, ok: bool, detail: str):
     assert ok, f"{name}: {detail}"
 
 
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "dmdp", *args], capture_output=True, text=True
-    )
-
-
 def _random_policy(instance, rng, length=None):
     n = instance.horizon if length is None else length
     return TimeVaryingPolicy.from_actions(
@@ -58,7 +51,7 @@ def _random_policy(instance, rng, length=None):
 
 def test_criterion_1_static_gap_demo():
     started = time.perf_counter()
-    proc = _run_cli("demo-static-gap")
+    proc = run_cli("demo-static-gap")
     elapsed = time.perf_counter() - started
     gamma = 1.0 - 1e-9
     result = json.loads(proc.stdout)["result"]
@@ -227,7 +220,8 @@ def test_criterion_8_reports_are_deterministic(tmp_path, corpus):
             ("solve-cover", path, "--start", "0", "--target", "0,1,2"),
             ("brute-check", path, "--start", "0", "--target", "0,1,2"),
         ):
-            a, b = _run_cli(*args), _run_cli(*args)
+            # Separate processes: each has its own hash randomization.
+            a, b = run_cli(*args, spawn=True), run_cli(*args, spawn=True)
             compared += 1
             if stripped(a.stdout) != stripped(b.stdout) or a.returncode != b.returncode:
                 mismatches += 1

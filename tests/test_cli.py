@@ -5,14 +5,12 @@ import io
 import json
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import sparse_instance
+from conftest import run_cli, sparse_instance
 
 from dmdp import (
     DmdpInstance,
@@ -28,15 +26,6 @@ from dmdp import (
     optimal_values,
     save,
 )
-
-
-def run_cli(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "dmdp", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
 
 
 def report_of(proc):
@@ -72,9 +61,7 @@ def test_demo_static_gap_reports_the_gap():
 
 
 def test_python_m_dmdp_runs_the_cli():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dmdp", "--version"], capture_output=True, text=True
-    )
+    proc = run_cli("--version", spawn=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0.1.0\n"
 
@@ -92,10 +79,8 @@ def test_gen_is_reproducible_and_validates(tmp_path):
     assert run_cli("validate", out1).returncode == 0
 
 
-def test_gen_serializes_once_and_reports_the_digest_of_its_bytes(
-    tmp_path, monkeypatch, capsys
-):
-    from dmdp import cli, storage
+def test_gen_serializes_once_and_reports_the_digest_of_its_bytes(tmp_path, monkeypatch):
+    from dmdp import storage
 
     calls = []
     dumps = storage.dumps_json
@@ -108,9 +93,10 @@ def test_gen_serializes_once_and_reports_the_digest_of_its_bytes(
     out = tmp_path / "g.json"
     argv = ["gen", "--seed", "9", "--states", "5", "--actions", "2",
             "--horizon", "4", "--gamma", "0.25", "-o", str(out)]
-    assert cli.main(argv) == 0
+    proc = run_cli(*argv)
+    assert proc.returncode == 0
     assert calls == ["dict"]  # save's; the digest is save's hash of its bytes
-    report = json.loads(capsys.readouterr().out)
+    report = json.loads(proc.stdout)
     written = hashlib.sha256(out.read_bytes()).hexdigest()
     assert report["instance_digest"] == report["result"]["digest"] == written
     assert written == digest(load(out))
@@ -319,11 +305,13 @@ def test_node_budget_flag(instance_file):
         assert "usage:" in proc.stderr and "--node-budget" in proc.stderr
 
 
-def test_environment_does_not_set_the_node_budget(instance_file):
+def test_environment_does_not_set_the_node_budget(instance_file, monkeypatch):
     # The budget is an option like any other: GDS_NODE_BUDGET is not read.
     argv = ["solve-reach", instance_file, "--start", "0", "--target", "0,1,2"]
-    plain = run_cli(*argv, env={k: v for k, v in os.environ.items() if k != "GDS_NODE_BUDGET"})
-    tight = run_cli(*argv, env=dict(os.environ, GDS_NODE_BUDGET="1"))
+    monkeypatch.delenv("GDS_NODE_BUDGET", raising=False)
+    plain = run_cli(*argv)
+    monkeypatch.setenv("GDS_NODE_BUDGET", "1")
+    tight = run_cli(*argv)
     assert plain.returncode == tight.returncode == 0, tight.stderr
     assert _report_without_timing(tight.stdout) == _report_without_timing(plain.stdout)
 
@@ -382,7 +370,7 @@ def _option_dests(parser, command):
     return [a.dest for a in subparsers.choices[command]._actions if a.dest != "help"]
 
 
-def test_report_config_replays_to_the_same_result(tmp_path, monkeypatch, capsys):
+def test_report_config_replays_to_the_same_result(tmp_path, monkeypatch):
     from dmdp import cli
 
     monkeypatch.chdir(tmp_path)
@@ -390,13 +378,14 @@ def test_report_config_replays_to_the_same_result(tmp_path, monkeypatch, capsys)
     save(make_static_gap_instance(), "gap.json")
     save(sparse_instance(1), "sparse.json")
     for argv in REPLAYED_RUNS:
-        code = cli.main(argv)
-        first = capsys.readouterr().out
+        proc = run_cli(*argv)
+        first = proc.stdout
         config = json.loads(first)["config"]
         assert list(config) == _option_dests(cli.build_parser(), argv[0]), argv
         replay = _argv_of(argv[0], config)
-        assert cli.main(replay) == code, replay
-        second = capsys.readouterr().out
+        again = run_cli(*replay)
+        assert again.returncode == proc.returncode, replay
+        second = again.stdout
         assert _report_without_timing(second) == _report_without_timing(first), replay
 
 
@@ -549,8 +538,12 @@ def test_exit_code_matrix_covers_every_subcommand(instance_file, tmp_path):
         (64, ["demo-static-gap", "--gamma", "not-a-number"]),
         *[(64, ["demo-static-gap", "--gamma", gamma]) for gamma in LOOSE_GAMMAS],
     ]
+    spawned = set()
     for expected, argv in matrix:
-        proc = run_cli(*argv)
+        # The first row of each exit status runs as `python -m dmdp`, so a
+        # process is seen to exit with every status that cli.main returns.
+        proc = run_cli(*argv, spawn=expected not in spawned)
+        spawned.add(expected)
         assert proc.returncode == expected, (argv, proc.returncode, proc.stderr)
         # An uncaught exception also exits 1.
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
@@ -692,35 +685,29 @@ PINNED_FILES = {
 }
 
 
-def test_reports_and_written_files_are_pinned(tmp_path, monkeypatch, capsys):
-    from dmdp import cli
-
+def test_reports_and_written_files_are_pinned(tmp_path, monkeypatch):
     # A fixed relative path keeps config.file and config.out stable.
     monkeypatch.chdir(tmp_path)
     save(generate(7, 3, 2, 3, 0.5), "inst.json")
     save(make_static_gap_instance(), "gap.json")
     save(sparse_instance(1), "sparse.json")
     for code, argv, expected in PINNED_RUNS:
-        assert cli.main(argv) == code, argv
-        report = _report_without_timing(capsys.readouterr().out)
+        proc = run_cli(*argv)
+        assert proc.returncode == code, argv
+        report = _report_without_timing(proc.stdout)
         assert hashlib.sha256(report.encode("utf-8")).hexdigest() == expected, argv
     for name, expected in PINNED_FILES.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
 
 
-def test_cached_parser_gives_a_fresh_process_report_after_a_usage_error(
-    instance_file, monkeypatch, capsys
-):
-    from dmdp import cli
-
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve-reach", instance_file, "--start", "1", "--target", "0",
-                  "--strict", "--node-budget", "0"])
-    assert exc.value.code == 64
-    capsys.readouterr()
+def test_cached_parser_gives_a_fresh_process_report_after_a_usage_error(instance_file):
+    usage = run_cli("solve-reach", instance_file, "--start", "1", "--target", "0",
+                    "--strict", "--node-budget", "0")
+    assert usage.returncode == 64
     argv = ["solve-reach", instance_file, "--start", "0", "--target", "0,1,2"]
-    assert cli.main(argv) == 0
-    in_process = _report_without_timing(capsys.readouterr().out)
-    fresh = run_cli(*argv)
+    proc = run_cli(*argv)
+    assert proc.returncode == 0
+    in_process = _report_without_timing(proc.stdout)
+    fresh = run_cli(*argv, spawn=True)
     assert fresh.returncode == 0
     assert in_process == _report_without_timing(fresh.stdout)

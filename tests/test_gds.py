@@ -4,11 +4,12 @@ import itertools
 import json
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import sparse_instance
+from conftest import run_cli, sparse_instance
 from dmdp import (
     DmdpInstance,
     EnumerationCapExceeded,
@@ -31,9 +32,9 @@ from dmdp import (
     support_of,
 )
 from dmdp import composition, gds, save
-from dmdp.cli import main
 from dmdp.composition import satisfies, target_unreachable
 from dmdp.core import RULE_ENUMERATION_CAP
+from dmdp.oracle import exact_reach
 
 
 def self_loop_instance():
@@ -461,7 +462,7 @@ _SQRT_TINY = np.sqrt(np.finfo(np.float64).tiny)
 UNDERFLOW_PS = [1e-170, 1e-200, np.nextafter(_SQRT_TINY, 0.0), np.nextafter(_SQRT_TINY, 1.0)]
 
 
-def test_root_verdict_holds_where_a_path_mass_underflows(tmp_path, capsys):
+def test_root_verdict_holds_where_a_path_mass_underflows(tmp_path):
     # State 3 is structurally reachable in two steps whatever p * p
     # computes to, so no policy ends inside {1}: every solver says so.
     target = GoalSet.from_states([1], 4)
@@ -477,8 +478,9 @@ def test_root_verdict_holds_where_a_path_mass_underflows(tmp_path, capsys):
         path = tmp_path / f"chain-{i}.json"
         save(inst, path)
         for command in ("solve-reach", "brute-check"):
-            assert main([command, str(path), "--start", "0", "--target", "1"]) == 2
-            assert json.loads(capsys.readouterr().out)["result"]["found"] is False
+            proc = run_cli(command, str(path), "--start", "0", "--target", "1")
+            assert proc.returncode == 2
+            assert json.loads(proc.stdout)["result"]["found"] is False
 
 
 @pytest.mark.parametrize("p", UNDERFLOW_PS)
@@ -802,6 +804,143 @@ def test_search_is_wrong_exactly_on_the_known_queries():
                 assert result.value < best.value
                 wrong.add((seed, start, mode, tuple(sorted(members))))
     assert wrong == KNOWN_WRONG
+
+
+# ---------------------------------------------------------------------------
+# the exact reach DP, oracle.exact_reach, and the search checked against it
+
+
+def test_exact_reach_is_the_best_enumerated_policy_on_sparse_sweep(sparse_sweep):
+    # The best outcome by value, then by shortest length: enumeration
+    # yields the policies shortest first, (A ** S) ** n of each length n.
+    queries = 0
+    for inst, start, _, outcomes in sparse_sweep:
+        per_epoch = inst.num_actions**inst.num_states
+        lengths = [n for n in range(1, inst.horizon + 1) for _ in range(per_epoch**n)]
+        assert len(lengths) == len(outcomes)
+        ranked = [((value, -n), goal) for (value, goal), n in zip(outcomes, lengths)]
+        for members, strict in itertools.product(EVERY_TARGET, (False, True)):
+            best = _best(ranked, members, "reach", strict)
+            expected = None if best is None else (best[0], -best[1])
+            target = GoalSet.from_states(members, 3)
+            assert exact_reach(inst, start, target, inst.horizon, strict) == expected
+            queries += 1
+    assert queries == 840
+
+
+# (num_states, num_actions, horizon, gamma) of the sparse families that the
+# DP is checked on, seeds 0-3 of each.
+DP_FAMILIES = [(3, 2, 4, 0.1), (4, 2, 4, 0.3), (3, 3, 4, 0.5)]
+
+
+def _family_queries(family):
+    """(seed, instance, start, target members) for every start and nonempty
+    target of the family's seeds."""
+    num_states = family[0]
+    for seed in range(4):
+        inst = sparse_instance(seed, *family)
+        for start, n in itertools.product(range(num_states), range(1, num_states + 1)):
+            for members in itertools.combinations(range(num_states), n):
+                yield seed, inst, start, members
+
+
+def test_exact_reach_equals_brute_force_on_three_families():
+    queries = 0
+    for family in DP_FAMILIES:
+        for _, inst, start, members in _family_queries(family):
+            target = GoalSet.from_states(members, inst.num_states)
+            brute = brute_force_reach(inst, start, target, inst.horizon)
+            expected = None if brute is None else (brute.value, len(brute.policy))
+            assert exact_reach(inst, start, target, inst.horizon) == expected
+            queries += 1
+    assert queries == 408
+
+
+def test_exact_reach_is_none_where_the_root_verdict_holds_on_the_leaky_chain():
+    for p in UNDERFLOW_PS:
+        inst = leaky_chain_instance(p)
+        for n, strict in itertools.product((1, 2, 3, 4), (False, True)):
+            for members in itertools.combinations(range(4), n):
+                target = GoalSet.from_states(members, 4)
+                unreachable = target_unreachable(inst, 0, target, "reach", strict)
+                assert (exact_reach(inst, 0, target, inst.horizon, strict) is None) == unreachable
+
+
+def test_exact_reach_breaks_a_value_tie_toward_the_shortest_length():
+    # Action 0 is free, so every length reaches both states with value 0.
+    inst = pruning_instance()
+    brute = brute_force_reach(inst, 0, GoalSet.full(2), inst.horizon)
+    assert exact_reach(inst, 0, GoalSet.full(2), inst.horizon) == (brute.value, 1) == (0.0, 1)
+
+
+def test_search_is_wrong_against_the_dp_exactly_on_the_known_reach_queries():
+    # Strict on and off, 816 queries.  The pops per family are pinned: a
+    # sound search (ROADMAP item 3) moves them and empties the wrong set.
+    wrong, pops = set(), []
+    for family in DP_FAMILIES:
+        pops.append(0)
+        for seed, inst, start, members in _family_queries(family):
+            target = GoalSet.from_states(members, inst.num_states)
+            for strict in (False, True):
+                best = exact_reach(inst, start, target, inst.horizon, strict)
+                result = gds_search(inst, GdsConfig(start=start, target=target,
+                                                    strict_subset=strict))
+                pops[-1] += result.nodes_popped
+                assert result.found == (best is not None)
+                if result.found and abs(result.value - best[0]) > 1e-9:
+                    assert result.value < best[0]
+                    wrong.add((family, strict, (seed, start, "reach", members)))
+    assert pops == [219, 12_112, 168_547]
+    assert wrong == {(DP_FAMILIES[0], False, row) for row in KNOWN_WRONG if row[2] == "reach"}
+
+
+TIE_GAMMA = float.fromhex("0x1.905adc71ea5cfp-1")
+TIE_C = -float.fromhex("0x1.d354b2f34c803p-1")
+
+
+def tie_chain_instance():
+    """From state 0, action 0 goes to state 1 and action 1 to state 2; 1
+    goes to 3 and 2 to 4, and both go to 5, which absorbs.  Both length-3
+    policies to {5} from 0 are worth -gamma/4 + gamma^2 * c exactly, and
+    their float values lie 1 ulp apart."""
+    P = np.zeros((6, 2, 6))
+    P[0, 0, 1] = P[0, 1, 2] = 1.0
+    P[1, :, 3] = P[2, :, 4] = P[3, :, 5] = P[4, :, 5] = P[5, :, 5] = 1.0
+    reward = np.full((3, 6, 2), -1.0)
+    reward[0, 0] = [-TIE_GAMMA / 4, 0.0]
+    reward[1, 1] = 0.0
+    reward[1, 2] = -0.25
+    reward[2, 3] = reward[2, 4] = TIE_C
+    return DmdpInstance(
+        num_states=6, num_actions=2, horizon=3, gamma=TIE_GAMMA, r_max=1.0,
+        transition=P, reward=reward, sign_mode="nonpositive",
+    )
+
+
+def test_exact_tie_chain_values():
+    inst = tie_chain_instance()
+    target = GoalSet.from_states([5], 6)
+    gamma = Fraction(inst.gamma)
+    exact = {
+        a: sum(gamma**t * Fraction(inst.reward[t, s, a if t == 0 else 0])
+               for t, s in enumerate((0, 1 + a, 3 + a)))
+        for a in (0, 1)
+    }
+    assert exact[0] == exact[1]
+    brute = brute_force_reach(inst, 0, target, inst.horizon)
+    assert brute.value.hex() == "-0x1.81d4cda591a76p-1"
+    assert exact_reach(inst, 0, target, inst.horizon) == (brute.value, 3)
+    result = gds_search(inst, GdsConfig(start=0, target=target))
+    assert result.value.hex() == "-0x1.81d4cda591a77p-1"
+
+
+@pytest.mark.xfail(strict=True, reason="the search and brute force break exact ties by "
+                                       "their own float sums (ROADMAP item 13)")
+def test_search_and_brute_force_break_the_exact_tie_alike():
+    inst = tie_chain_instance()
+    target = GoalSet.from_states([5], 6)
+    result = gds_search(inst, GdsConfig(start=0, target=target))
+    assert result.policy == brute_force_reach(inst, 0, target, inst.horizon).policy
 
 
 # ---------------------------------------------------------------------------
